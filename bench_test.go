@@ -469,7 +469,8 @@ func benchLaplacian(nx int) *sparse.CSR {
 // BenchmarkSparseCholeskyFactor measures the sparse direct kernel on a
 // 64×64 mesh Laplacian (4096 unknowns, the nx40 power-grid scale): numeric
 // refactorization over the fixed AMD-ordered pattern, the triangular solve,
-// and one edge downdate + update round trip (the Monte-Carlo edit path).
+// and the edge solve of an interior mesh edge (the correction solve of a
+// failure-cascade update).
 func BenchmarkSparseCholeskyFactor(b *testing.B) {
 	a := benchLaplacian(64)
 	sp, err := solver.NewSparseCholeskyFromCSR(a)
@@ -498,16 +499,13 @@ func BenchmarkSparseCholeskyFactor(b *testing.B) {
 			}
 		}
 	})
-	b.Run("Update", func(b *testing.B) {
-		// One failure (downdate) and one repair (update) of an interior
-		// mesh edge per iteration, leaving the factor unchanged net.
-		fa, fb := 32*64+31, 32*64+32
+	z := make([]float64, n)
+	b.Run("EdgeSolve", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := sp.DowndateEdge(fa, fb, 1); err != nil {
+			if err := sp.SolveEdgeInto(x, 32*64+31, 32*64+32, z); err != nil {
 				b.Fatal(err)
 			}
-			sp.UpdateEdge(fa, fb, 1)
 		}
 	})
 }
@@ -515,9 +513,9 @@ func BenchmarkSparseCholeskyFactor(b *testing.B) {
 // BenchmarkSparseCholeskyFactorSupernodal measures the supernodal kernel on
 // the same 4096-unknown mesh Laplacian as BenchmarkSparseCholeskyFactor:
 // numeric refactorization at several worker counts (results are
-// bit-identical at any width; extra workers only help on multi-core hosts)
-// and the batched 16-RHS triangular solve against the equivalent loop of
-// single solves it replaces in grouped Monte-Carlo trials.
+// bit-identical at any width; extra workers only help on multi-core hosts),
+// and the full triangular solve against the edge solve that replaces it in
+// failure cascades (the forward sweep visits only the terminal paths).
 func BenchmarkSparseCholeskyFactorSupernodal(b *testing.B) {
 	a := benchLaplacian(64)
 	n, _ := a.Dims()
@@ -540,27 +538,24 @@ func BenchmarkSparseCholeskyFactorSupernodal(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	const nrhs = 16
-	rhs := make([]float64, nrhs*n)
-	x := make([]float64, nrhs*n)
+	rhs := make([]float64, n)
+	x, z := make([]float64, n), make([]float64, n)
 	for i := range rhs {
 		rhs[i] = 1e-3 * float64(i%17)
 	}
-	b.Run("SolveBatch16", func(b *testing.B) {
+	b.Run("Solve", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := sp.SolveBatchInto(x, rhs, nrhs); err != nil {
+			if err := sp.SolveInto(x, rhs); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	b.Run("SolveLoop16", func(b *testing.B) {
+	b.Run("EdgeSolve", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			for v := 0; v < nrhs; v++ {
-				if err := sp.SolveInto(x[v*n:(v+1)*n], rhs[v*n:(v+1)*n]); err != nil {
-					b.Fatal(err)
-				}
+			if err := sp.SolveEdgeInto(x, 32*64+31, 32*64+32, z); err != nil {
+				b.Fatal(err)
 			}
 		}
 	})

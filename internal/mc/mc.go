@@ -48,23 +48,14 @@ type System interface {
 	Failed() (bool, error)
 }
 
-// TrialPreparer is optionally implemented by Systems that can precompute
-// state shared by a group of upcoming trials — e.g. batching the linear
-// solves that seed each trial's first failure into one multi-RHS sweep.
-// The engine calls PrepareTrials with the seeds of the next BatchTrials
-// consecutive trials right before running them (in order, on the same
-// system instance), so an implementation may key its precomputation to the
-// seeds and serve it back during BeginTrial/Fail. Preparation must not
-// change the observable trial results: it is an amortization hook, not a
-// semantic one.
+// TrialPreparer is the former trial-group preparation hook. The engine no
+// longer calls it — it runs one trial per dispatch — and
+// pdn.GridSystem.PrepareTrials is a no-op; the interface remains only so
+// that wrappers written against it keep compiling.
 type TrialPreparer interface {
-	// PrepareTrials precomputes for the trials seeded by seeds, replacing
-	// any previously prepared state.
+	// PrepareTrials is never called by the engine.
 	PrepareTrials(seeds []int64) error
 }
-
-// defaultBatchTrials is the trial-group size when BatchTrials is 0.
-const defaultBatchTrials = 16
 
 // Engine names an analysis backend selected by the -engine flag. The
 // Monte-Carlo engine only ever runs EngineMC and EngineBoth configurations;
@@ -129,15 +120,6 @@ type Options struct {
 	// TraceLabel names this run in structured traces (see internal/trace);
 	// empty selects "mc".
 	TraceLabel string
-	// BatchTrials sets the trial-group size: trials are dispatched to
-	// workers in fixed consecutive groups of this size, and a System that
-	// implements TrialPreparer is given each group's seeds ahead of running
-	// it. 0 selects the default (16); negative disables batching entirely
-	// (group size 1 and PrepareTrials never called — the legacy per-trial
-	// path, which batching-aware Systems must reproduce exactly). Group
-	// boundaries depend only on the trial index, never on Workers, so
-	// results stay bit-identical for any worker count.
-	BatchTrials int
 	// Solver records the linear-solver backend the run's systems use
 	// ("auto", "dense", "sparse" or "cg"; empty = unspecified). The engine
 	// itself never interprets it — the backend is a property of the System
@@ -231,31 +213,6 @@ func (o Options) traceLabel() string {
 	return "mc"
 }
 
-// groupSize resolves BatchTrials to the effective trial-group size.
-func (o Options) groupSize() int {
-	switch {
-	case o.BatchTrials < 0:
-		return 1
-	case o.BatchTrials == 0:
-		return defaultBatchTrials
-	}
-	return o.BatchTrials
-}
-
-// prepareGroup hands the seeds of local trials [g0, g1) to a preparer
-// system (global indices shifted by FirstTrial). seeds is the caller's
-// scratch buffer, returned grown.
-func prepareGroup(p TrialPreparer, opt Options, g0, g1 int, seeds []int64) ([]int64, error) {
-	seeds = seeds[:0]
-	for t := g0; t < g1; t++ {
-		seeds = append(seeds, trialSeed(opt.Seed, opt.FirstTrial+t))
-	}
-	if err := p.PrepareTrials(seeds); err != nil {
-		return seeds, fmt.Errorf("mc: preparing trials %d..%d: %w", g0, g1-1, err)
-	}
-	return seeds, nil
-}
-
 // ComponentLabeler is optionally implemented by Systems that can name their
 // components for trace output (e.g. "Plus-shaped(3,4)" for a via, or a grid
 // array's position). Labels appear in trace fail events; they never feed
@@ -278,6 +235,9 @@ type Result struct {
 	// parallel to Events[t]. Used for criticality ranking: which
 	// components actually precipitate system failure.
 	EventComps [][]int
+	// Solver echoes Options.Solver: the circuit backend the run's systems
+	// used, as reported by their factory.
+	Solver string
 }
 
 // FiniteTTF returns the finite system TTFs (dropping never-failed trials).
@@ -377,6 +337,7 @@ func RunCtx(ctx context.Context, sys System, opt Options) (*Result, error) {
 		TTF:        make([]float64, opt.Trials),
 		Events:     make([][]float64, opt.Trials),
 		EventComps: make([][]int, opt.Trials),
+		Solver:     opt.Solver,
 	}
 	// One generator and one scratch buffer set serve every trial: reseeding
 	// with the per-trial seed reproduces exactly the stream a fresh
@@ -395,35 +356,20 @@ func RunCtx(ctx context.Context, sys System, opt Options) (*Result, error) {
 	if idxs != nil {
 		met.observeMask(sys.NumComponents(), len(idxs))
 	}
-	var preparer TrialPreparer
-	if opt.BatchTrials >= 0 {
-		preparer, _ = sys.(TrialPreparer)
-	}
-	batch := opt.groupSize()
-	var seeds []int64
 	t0 := met.runSeconds.Start()
-	for g0 := 0; g0 < opt.Trials; g0 += batch {
-		g1 := min(g0+batch, opt.Trials)
-		if preparer != nil {
-			var err error
-			if seeds, err = prepareGroup(preparer, opt, g0, g1, seeds); err != nil {
-				return nil, err
-			}
+	for t := 0; t < opt.Trials; t++ {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("mc: canceled after %d of %d trials: %w", t, opt.Trials, err)
 		}
-		for t := g0; t < g1; t++ {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("mc: canceled after %d of %d trials: %w", t, opt.Trials, err)
-			}
-			rng.Seed(trialSeed(opt.Seed, opt.FirstTrial+t))
-			ttf, events, comps, err := runTrial(sys, rng, opt.RunToCompletion, idxs, &scratch, &met, run.Trial(t), labeler)
-			if err != nil {
-				return nil, fmt.Errorf("mc: trial %d: %w", t, err)
-			}
-			res.TTF[t] = ttf
-			res.Events[t] = events
-			res.EventComps[t] = comps
-			met.reg.ProgressTick("mc", int64(t+1), int64(opt.Trials))
+		rng.Seed(trialSeed(opt.Seed, opt.FirstTrial+t))
+		ttf, events, comps, err := runTrial(sys, rng, opt.RunToCompletion, idxs, &scratch, &met, run.Trial(t), labeler)
+		if err != nil {
+			return nil, fmt.Errorf("mc: trial %d: %w", t, err)
 		}
+		res.TTF[t] = ttf
+		res.Events[t] = events
+		res.EventComps[t] = comps
+		met.reg.ProgressTick("mc", int64(t+1), int64(opt.Trials))
 	}
 	met.runSeconds.ObserveSince(t0)
 	return res, nil
@@ -447,14 +393,12 @@ func RunParallelCtx(ctx context.Context, newSys func() (System, error), opt Opti
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	batch := opt.groupSize()
-	if groups := (opt.Trials + batch - 1) / batch; workers > groups {
-		workers = groups
-	}
+	workers = min(workers, opt.Trials)
 	res := &Result{
 		TTF:        make([]float64, opt.Trials),
 		Events:     make([][]float64, opt.Trials),
 		EventComps: make([][]int, opt.Trials),
+		Solver:     opt.Solver,
 	}
 	met := newRunMetrics()
 	run := trace.Default().BeginRun(opt.traceLabel(), opt.Trials)
@@ -502,44 +446,28 @@ func RunParallelCtx(ctx context.Context, newSys func() (System, error), opt Opti
 				fail(err)
 				return
 			}
-			var preparer TrialPreparer
-			if opt.BatchTrials >= 0 {
-				preparer, _ = sys.(TrialPreparer)
-			}
-			var seeds []int64
-			// Workers claim whole trial groups: the group → trial mapping is a
-			// pure function of the options, so a preparer system sees exactly
-			// the groups a serial run would, whichever worker claims each.
+			// Workers claim single trials; per-trial seeding makes the
+			// result independent of which worker runs which trial.
 			for !stop.Load() {
-				g0 := (int(next.Add(1)) - 1) * batch
-				if g0 >= opt.Trials {
+				t := int(next.Add(1)) - 1
+				if t >= opt.Trials {
 					return
 				}
-				g1 := min(g0+batch, opt.Trials)
-				if preparer != nil {
-					var err error
-					if seeds, err = prepareGroup(preparer, opt, g0, g1, seeds); err != nil {
-						fail(err)
-						return
-					}
+				if err := ctx.Err(); err != nil {
+					fail(fmt.Errorf("mc: canceled at trial %d of %d: %w", t, opt.Trials, err))
+					return
 				}
-				for t := g0; t < g1; t++ {
-					if err := ctx.Err(); err != nil {
-						fail(fmt.Errorf("mc: canceled at trial %d of %d: %w", t, opt.Trials, err))
-						return
-					}
-					rng.Seed(trialSeed(opt.Seed, opt.FirstTrial+t))
-					ttf, events, comps, err := runTrial(sys, rng, opt.RunToCompletion, idxs, &scratch, &met, run.Trial(t), labeler)
-					if err != nil {
-						fail(fmt.Errorf("mc: trial %d: %w", t, err))
-						return
-					}
-					res.TTF[t] = ttf
-					res.Events[t] = events
-					res.EventComps[t] = comps
-					if met.reg != nil {
-						met.reg.ProgressTick("mc", done.Add(1), int64(opt.Trials))
-					}
+				rng.Seed(trialSeed(opt.Seed, opt.FirstTrial+t))
+				ttf, events, comps, err := runTrial(sys, rng, opt.RunToCompletion, idxs, &scratch, &met, run.Trial(t), labeler)
+				if err != nil {
+					fail(fmt.Errorf("mc: trial %d: %w", t, err))
+					return
+				}
+				res.TTF[t] = ttf
+				res.Events[t] = events
+				res.EventComps[t] = comps
+				if met.reg != nil {
+					met.reg.ProgressTick("mc", done.Add(1), int64(opt.Trials))
 				}
 			}
 		}()

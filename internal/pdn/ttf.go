@@ -117,21 +117,11 @@ type GridSystem struct {
 	// never overwritten and the inner loop allocates nothing.
 	opA, opB *spice.OP
 
-	// Batched trial preparation (mc.TrialPreparer). PrepareTrials predicts
-	// each upcoming trial's first failure from its seed, batch-solves the
-	// Sherman–Morrison correction vectors for the distinct first failures of
-	// the group in one multi-RHS sweep, and stores one entry per trial;
-	// BeginTrial consumes the entries in order and Fail serves the first
-	// post-failure solution from them instead of a triangular solve.
-	prep     []prepTrial
-	prepNext int
-	prepK    int // predicted first failure of the running trial; -1 = none
-	prepCoef float64
-	prepZOff int
-	prepZ    []float64 // correction vectors A⁻¹·u, one per distinct first failure
-	prepB    []float64 // batched right-hand sides (the u vectors)
-	yFree    []float64 // pristine free-node solution (gathered from op0 once)
-	xScratch []float64
+	// cascade runs IR-drop failures as Sherman–Morrison updates against the
+	// pristine sparse factor (see cascade). Nil on the dense and CG
+	// backends, which edit and re-solve the circuit, and under the
+	// weakest-link criterion, which never re-solves.
+	cascade *cascade
 
 	// candidates is the steady screen's mortal mask (mc.CandidateMasker);
 	// nil runs the legacy sequential sampling stream. With a mask set,
@@ -144,19 +134,9 @@ type GridSystem struct {
 
 	// circuitDirty records that a trial edited the compiled circuit (opened
 	// a via), so the next BeginTrial must restore the pristine matrix and
-	// factor. Weakest-link trials never edit the circuit — the trial is
-	// over at the first failure, before anything reads the matrix again —
-	// which keeps the expensive sparse-factor restore off that path.
+	// factor. Weakest-link trials and factor-once cascades never edit the
+	// circuit; only the dense and CG backends and a cascade's fallback do.
 	circuitDirty bool
-}
-
-// prepTrial is one prepared trial: the predicted first-failing array and the
-// Sherman–Morrison coefficient against correction vector zoff.
-type prepTrial struct {
-	k     int // first-failing via array; -1 when the trial never fails
-	zoff  int // index into prepZ; -1 when the failure leaves the free system unchanged
-	coef  float64
-	valid bool
 }
 
 // NewSystem compiles the grid and solves the pristine operating point. It
@@ -194,10 +174,15 @@ func NewSystemCtx(ctx context.Context, cfg TTFConfig) (*GridSystem, error) {
 	}
 	s := &GridSystem{cfg: cfg, circuit: circuit, op0: op}
 	// Put the solver into its canonical post-reset state (slots compiled,
-	// pristine factor snapshot taken) once up front, so trials on a fresh
-	// system and on a Clone start from bit-identical solver state whether
-	// or not BeginTrial's dirty gate runs another restore in between.
+	// dense pristine factor snapshot taken) once up front, so trials on a
+	// fresh system and on a Clone start from bit-identical solver state
+	// whether or not BeginTrial's dirty gate runs another restore in between.
 	circuit.ResetResistors()
+	if cfg.Criterion == IRDrop && circuit.SolverBackend() == spice.SolverSparse.String() {
+		if s.cascade, err = newCascade(circuit, op); err != nil {
+			return nil, err
+		}
+	}
 	s.opA = circuit.NewOP()
 	s.opB = circuit.NewOP()
 	s.i0 = make([]float64, len(cfg.Grid.Vias))
@@ -226,6 +211,9 @@ func (s *GridSystem) Clone() *GridSystem {
 		// clone's first BeginTrial restore the pristine state.
 		circuitDirty: true,
 	}
+	if s.cascade != nil {
+		d.cascade = s.cascade.clone()
+	}
 	d.opA = circuit.NewOP()
 	d.opB = circuit.NewOP()
 	return d
@@ -236,6 +224,12 @@ func (s *GridSystem) NumComponents() int { return len(s.cfg.Grid.Vias) }
 
 var _ mc.TrialPreparer = (*GridSystem)(nil)
 var _ mc.CandidateMasker = (*GridSystem)(nil)
+
+// PrepareTrials implements mc.TrialPreparer as a no-op: the factor-once
+// cascade leaves nothing to prepare ahead of a trial group, and the
+// Monte-Carlo engine no longer calls it. It remains for callers written
+// against the interface.
+func (s *GridSystem) PrepareTrials(seeds []int64) error { return nil }
 
 // subSeed derives the sampling substream seed of array k in a masked trial
 // from the trial's base draw (splitmix-style mixing, as mc derives trial
@@ -311,12 +305,14 @@ func (s *GridSystem) BeginTrial(rng *rand.Rand) error {
 	// Restore the vias opened by the previous trial and put the solver into
 	// its canonical pristine state (matrix values, factor, preconditioner),
 	// so trial outcomes do not depend on which trials ran before on this
-	// system instance. A clean circuit (weakest-link trials, or a fresh
-	// system) skips the restore — on large sparse grids it is the single
-	// most expensive step of a sampling-bound trial.
+	// system instance. A clean circuit (weakest-link trials, cascades that
+	// stayed on the update path, or a fresh system) skips the restore.
 	if s.circuitDirty {
 		s.circuit.ResetResistors()
 		s.circuitDirty = false
+	}
+	if s.cascade != nil {
+		s.cascade.begin()
 	}
 	for k := range s.alive {
 		s.alive[k] = true
@@ -362,197 +358,7 @@ func (s *GridSystem) BeginTrial(rng *rand.Rand) error {
 			}
 		}
 	}
-	// Consume this trial's prepared entry, if a group was prepared. Entries
-	// are queued in trial order, matching the engine's in-order group run.
-	s.prepK = -1
-	if s.prepNext < len(s.prep) {
-		e := s.prep[s.prepNext]
-		s.prepNext++
-		if e.valid {
-			s.prepK = e.k
-			s.prepZOff = e.zoff
-			s.prepCoef = e.coef
-		}
-	}
 	return nil
-}
-
-// PrepareTrials implements mc.TrialPreparer: ahead of a trial group it
-// replays each trial's TTF sampling from its seed, predicts the trial's
-// first failure — the strict argmin of sampled TTF over arrays carrying
-// current, exactly the engine's first scheduling decision — and solves for
-// the distinct Sherman–Morrison correction vectors of the group in one
-// batched multi-RHS sweep over the pristine factor. Fail then reconstructs
-// the post-first-failure operating point as x = y − coef·z instead of
-// paying a per-trial triangular solve. Preparation is skipped (leaving the
-// exact legacy path) under the weakest-link criterion, off the sparse
-// direct backend, and for predicted failures touching a non-ground pad.
-func (s *GridSystem) PrepareTrials(seeds []int64) error {
-	s.prep = s.prep[:0]
-	s.prepNext = 0
-	s.prepK = -1
-	if s.cfg.Criterion == WeakestLink || s.circuit.SolverBackend() != spice.SolverSparse.String() {
-		return nil
-	}
-	// The corrections expand about the pristine system; make it current.
-	s.circuit.ResetResistors()
-	s.circuitDirty = false
-	n := s.circuit.NumFree()
-	if s.yFree == nil {
-		s.yFree = make([]float64, n)
-		if err := s.circuit.GatherFree(s.yFree, s.op0); err != nil {
-			return err
-		}
-		s.xScratch = make([]float64, n)
-	}
-	// Predict each trial's first failure; deduplicate the correction solves.
-	zof := make(map[int]int, len(seeds)) // resistor index -> slot in prepZ
-	var zri []int                        // slot -> resistor index
-	rng := rand.New(rand.NewSource(0))
-	for _, seed := range seeds {
-		rng.Seed(seed)
-		// Mirror BeginTrial's sampling stream exactly — the legacy sequential
-		// draws, or the masked base-draw-plus-substreams — same draw order,
-		// same scaling, so the predicted argmin is the one the engine will
-		// pick.
-		var base int64
-		var sub *rand.Rand
-		if s.candidates != nil {
-			base = rng.Int63()
-			sub = s.ensureSub()
-		}
-		minTTF := math.Inf(1)
-		k := -1
-		for i, v := range s.cfg.Grid.Vias {
-			if s.candidates != nil && !s.candidates[i] {
-				continue
-			}
-			var model viaarray.TTFModel
-			if s.cfg.PerViaModels != nil {
-				model = s.cfg.PerViaModels[i]
-			} else {
-				model = s.cfg.Models[v.Pattern]
-			}
-			src := rng
-			if s.candidates != nil {
-				sub.Seed(subSeed(base, i))
-				src = sub
-			}
-			ttf := model.Sample(src, s.i0[i])
-			if s.cfg.TTFScale != nil {
-				ttf *= s.cfg.TTFScale[i]
-			}
-			if s.i0[i] > 0 && ttf < minTTF {
-				minTTF = ttf
-				k = i
-			}
-		}
-		e := prepTrial{k: -1, zoff: -1}
-		if k >= 0 && !math.IsInf(minTTF, 1) {
-			ri := s.cfg.Grid.Vias[k].ResistorIndex
-			fa, fb, _, _ := s.circuit.ResistorTerms(ri)
-			// Opening the resistor is the rank-one edit A → A + dg·u·uᵀ over
-			// the free nodes, u = e_fa − e_fb with pinned terminals dropped;
-			// a pinned terminal additionally shifts the right-hand side, which
-			// folds into the correction coefficient below. A resistor with no
-			// free terminal leaves the free system untouched (zoff −1: the
-			// post-failure solution is the pristine one).
-			if s.circuit.ResistorConductance(ri) > 0 {
-				zo := -1
-				if fa >= 0 || fb >= 0 {
-					var seen bool
-					if zo, seen = zof[ri]; !seen {
-						zo = len(zri)
-						zof[ri] = zo
-						zri = append(zri, ri)
-					}
-				}
-				e = prepTrial{k: k, zoff: zo, valid: true}
-			}
-		}
-		s.prep = append(s.prep, e)
-	}
-	m := len(zri)
-	if m == 0 {
-		return nil
-	}
-	if cap(s.prepZ) < m*n {
-		s.prepZ = make([]float64, m*n)
-		s.prepB = make([]float64, m*n)
-	}
-	s.prepZ = s.prepZ[:m*n]
-	s.prepB = s.prepB[:m*n]
-	for i := range s.prepB {
-		s.prepB[i] = 0
-	}
-	for zo, ri := range zri {
-		fa, fb, _, _ := s.circuit.ResistorTerms(ri)
-		if fa >= 0 {
-			s.prepB[zo*n+fa] = 1
-		}
-		if fb >= 0 {
-			s.prepB[zo*n+fb] = -1
-		}
-	}
-	// One batched sweep amortizes the factor traffic over the whole group.
-	if err := s.circuit.SolveFreeBatch(s.prepZ, s.prepB, m); err != nil {
-		// The sparse path degraded (e.g. factorization failure downgraded the
-		// backend); run the group on the legacy per-trial solves instead.
-		for i := range s.prep {
-			s.prep[i].valid = false
-		}
-		return nil
-	}
-	uDot := func(x []float64, fa, fb int) float64 {
-		v := 0.0
-		if fa >= 0 {
-			v += x[fa]
-		}
-		if fb >= 0 {
-			v -= x[fb]
-		}
-		return v
-	}
-	for i := range s.prep {
-		e := &s.prep[i]
-		if !e.valid || e.zoff < 0 {
-			continue
-		}
-		ri := s.cfg.Grid.Vias[e.k].ResistorIndex
-		fa, fb, va, vb := s.circuit.ResistorTerms(ri)
-		dg := -s.circuit.ResistorConductance(ri)
-		z := s.prepZ[e.zoff*n : (e.zoff+1)*n]
-		denom := 1 + dg*uDot(z, fa, fb)
-		if math.Abs(denom) < 1e-12 {
-			// Opening this array (nearly) disconnects the grid; the formula
-			// is ill-conditioned, so leave the trial on the legacy solve.
-			e.valid = false
-			continue
-		}
-		// The numerator is the full-space voltage drop across the resistor:
-		// a pinned terminal contributes its pad voltage where a free one
-		// contributes its pristine solve value (the pad's right-hand-side
-		// shift folds in exactly this way).
-		e.coef = dg * (uDot(s.yFree, fa, fb) + va - vb) / denom
-	}
-	return nil
-}
-
-// prepServe reconstructs the post-first-failure operating point from the
-// prepared Sherman–Morrison state into dst. A false return means the caller
-// must fall back to a legacy solve.
-func (s *GridSystem) prepServe(dst *spice.OP) bool {
-	x := s.xScratch
-	if s.prepZOff >= 0 {
-		n := len(x)
-		z := s.prepZ[s.prepZOff*n : (s.prepZOff+1)*n]
-		for i := range x {
-			x[i] = s.yFree[i] - s.prepCoef*z[i]
-		}
-	} else {
-		copy(x, s.yFree)
-	}
-	return s.circuit.ScatterFree(dst, x) == nil
 }
 
 // BaseTTF returns array k's sampled TTF.
@@ -581,20 +387,12 @@ func (s *GridSystem) Fail(k int) error {
 		// the open-and-restore round trip on the factored system.
 		return nil
 	}
-	if err := s.circuit.DisableResistor(s.cfg.Grid.Vias[k].ResistorIndex); err != nil {
-		return err
-	}
-	s.circuitDirty = true
 	dst := s.opA
 	if s.opNow == s.opA {
 		dst = s.opB
 	}
-	// The first failure of a prepared trial is served from the batched
-	// Sherman–Morrison state; everything else pays the legacy solve.
-	if !(s.failedCount == 1 && k == s.prepK && s.prepServe(dst)) {
-		if err := s.circuit.SolveDCInto(dst, s.opNow); err != nil {
-			return fmt.Errorf("pdn: re-solve after failing array %d: %w", k, err)
-		}
+	if err := s.redistribute(k, dst); err != nil {
+		return err
 	}
 	s.opNow = dst
 	op := dst
@@ -607,6 +405,41 @@ func (s *GridSystem) Fail(k int) error {
 		} else {
 			s.iNow[i] = 0
 		}
+	}
+	return nil
+}
+
+// redistribute solves the grid with via array k open into dst. A cascade
+// updates its solution against the pristine factor; when the update is
+// ill-conditioned, or on the dense and CG backends, the failed arrays are
+// opened in the circuit and it is re-solved.
+func (s *GridSystem) redistribute(k int, dst *spice.OP) error {
+	ri := s.cfg.Grid.Vias[k].ResistorIndex
+	if s.cascade != nil && !s.cascade.fallback {
+		ok, err := s.cascade.open(s.circuit, ri)
+		if err != nil {
+			return fmt.Errorf("pdn: cascade update after failing array %d: %w", k, err)
+		}
+		if ok {
+			return s.circuit.ScatterFree(dst, s.cascade.x)
+		}
+		// The failure (nearly) islands part of the grid: refactor-and-solve
+		// for the rest of the trial, starting with every array failed so far.
+		s.cascade.fallback = true
+		for i, v := range s.cfg.Grid.Vias {
+			if !s.alive[i] && i != k {
+				if err := s.circuit.DisableResistor(v.ResistorIndex); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	if err := s.circuit.DisableResistor(ri); err != nil {
+		return err
+	}
+	s.circuitDirty = true
+	if err := s.circuit.SolveDCInto(dst, s.opNow); err != nil {
+		return fmt.Errorf("pdn: re-solve after failing array %d: %w", k, err)
 	}
 	return nil
 }
@@ -654,7 +487,7 @@ func AnalyzeTTF(cfg TTFConfig, trials int, seed int64) (*mc.Result, error) {
 
 // AnalyzeTTFCtx is AnalyzeTTF with cancellation and a caller-supplied option
 // base: Workers (the per-job worker budget of the analysis service),
-// BatchTrials, TraceLabel and FirstTrial (the trial-range offset of a
+// TraceLabel and FirstTrial (the trial-range offset of a
 // distributed shard — trial t always derives its generator from
 // trialSeed(seed, t) whichever shard runs it) are honored; Trials, Seed,
 // Solver and the criterion trace label are filled in here. Results are

@@ -135,4 +135,8 @@ type runOutput struct {
 	mcResult     *mc.Result
 	solver       string
 	materialHash string
+	// backend is the circuit backend the run actually used. It feeds the
+	// ledger only: manifests keep the requested mode (solver), so their
+	// bytes do not depend on which backend a host resolved.
+	backend string
 }

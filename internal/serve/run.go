@@ -178,14 +178,14 @@ func runSpec(ctx context.Context, spec *JobSpec, ro RunOptions) (*runOutput, err
 		if err != nil {
 			return nil, err
 		}
-		out.mcResult, out.screen = res, screenInfo(screen)
+		out.mcResult, out.screen, out.backend = res, screenInfo(screen), res.Solver
 	} else {
 		base.Engine = mc.EngineMC
 		res, err := pdn.AnalyzeTTFCtx(ctx, cfg, trials, spec.Seed, base)
 		if err != nil {
 			return nil, err
 		}
-		out.mcResult = res
+		out.mcResult, out.backend = res, res.Solver
 	}
 	return out, nil
 }

@@ -595,6 +595,9 @@ func TestLedgerReplaysJobSet(t *testing.T) {
 	if d := byID[j3.ID].Dedup; d != "result-cache" {
 		t.Errorf("cached job dedup = %q, want result-cache", d)
 	}
+	if b := byID[j3.ID].Backend; b != "" {
+		t.Errorf("cached job backend = %q, want empty (nothing ran)", b)
+	}
 	if d := byID[j1.ID].Dedup; d != "" {
 		t.Errorf("executed job dedup = %q, want empty", d)
 	}
@@ -602,6 +605,11 @@ func TestLedgerReplaysJobSet(t *testing.T) {
 		r := byID[id]
 		if r.TrialsDone != 6 || r.TrialsTotal != 6 || r.Attempts != 1 || r.Retries != 0 {
 			t.Errorf("executed record %+v: want 6/6 trials, 1 attempt", r)
+		}
+		// The 6×6 test grid resolves "auto" to the dense backend; the ledger
+		// records what ran, not the requested mode.
+		if r.Backend != "dense" {
+			t.Errorf("job %s: ledger backend %q, want dense", id, r.Backend)
 		}
 		for _, stage := range []string{"admit", "queue-wait", "mc", "manifest"} {
 			if _, ok := r.StageSeconds[stage]; !ok {

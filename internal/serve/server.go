@@ -284,7 +284,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		job := s.store.create(hash, resolved, timeout, tl)
 		job.completeFromCache(manifest)
 		s.reg.Counter(telemetry.ServeDedupCacheHits).Inc()
-		s.ledgerAppend(job, "result-cache")
+		s.ledgerAppend(job, "result-cache", "")
 		s.writeJSON(w, http.StatusOK, submitResponse{ID: job.ID, Hash: hash, State: StateDone, Dedup: "result-cache"})
 		return
 	}
@@ -467,7 +467,8 @@ func (s *Server) runJob(job *Job) {
 	t0 := s.reg.Histogram(telemetry.ServeJobSeconds).Start()
 	// Ledger last (defers run LIFO): the job is terminal and every stage
 	// span — including "manifest" — is recorded by the time it fires.
-	defer s.ledgerAppend(job, "")
+	var backend string
+	defer func() { s.ledgerAppend(job, "", backend) }()
 	defer s.reg.Gauge(telemetry.ServeJobsActive).Add(-1)
 	defer s.reg.Histogram(telemetry.ServeJobSeconds).ObserveSince(t0)
 	defer s.store.releaseInflight(job)
@@ -487,6 +488,7 @@ func (s *Server) runJob(job *Job) {
 		s.reg.Counter(telemetry.ServeSolves).Inc()
 		out, err = s.execute(ctx, job)
 		if err == nil {
+			backend = out.backend
 			break
 		}
 		if errors.Is(err, context.DeadlineExceeded) {
@@ -559,8 +561,9 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 }
 
 // ledgerAppend records a terminal job in the run ledger (no-op without a
-// ledger). dedup marks jobs answered without execution ("result-cache").
-func (s *Server) ledgerAppend(job *Job, dedup string) {
+// ledger). dedup marks jobs answered without execution ("result-cache");
+// backend is the circuit backend the execution ran on, if known.
+func (s *Server) ledgerAppend(job *Job, dedup, backend string) {
 	if s.ledger == nil {
 		return
 	}
@@ -571,6 +574,7 @@ func (s *Server) ledgerAppend(job *Job, dedup string) {
 		ID:          st.ID,
 		ContentHash: st.Hash,
 		Engine:      job.Spec.Engine,
+		Backend:     backend,
 		Outcome:     string(st.State),
 		Error:       st.Err,
 		Dedup:       dedup,

@@ -199,23 +199,3 @@ func (c *DenseCholesky) SolveInto(x, b []float64) error {
 	}
 	return nil
 }
-
-// SolveBatchInto solves nrhs systems at once: b and x hold nrhs stacked
-// vectors (vector v occupies [v·n, (v+1)·n)). The dense backend serves
-// systems small enough that there is no index traversal to amortize, so it
-// loops SolveInto per vector — batched and looped solves are trivially
-// bit-identical.
-func (c *DenseCholesky) SolveBatchInto(x, b []float64, nrhs int) error {
-	if nrhs <= 0 {
-		return fmt.Errorf("solver: SolveBatchInto nrhs %d", nrhs)
-	}
-	if len(b) != c.n*nrhs || len(x) != c.n*nrhs {
-		return fmt.Errorf("solver: SolveBatchInto lengths %d/%d, want %d", len(x), len(b), c.n*nrhs)
-	}
-	for v := 0; v < nrhs; v++ {
-		if err := c.SolveInto(x[v*c.n:(v+1)*c.n], b[v*c.n:(v+1)*c.n]); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -13,9 +13,9 @@ import (
 // system size without touching the call sites.
 //
 // Both implementations guarantee the same semantics: fixed sparsity pattern
-// after construction, allocation-free refactorization/solves, rank-one edge
-// up/downdates with identical LINPACK arithmetic, and bit-identical solve
-// results for a given factor regardless of backend-internal scheduling.
+// after construction, allocation-free refactorization and solves, and
+// bit-identical solve results for a given factor regardless of
+// backend-internal scheduling.
 type SparseFactor interface {
 	// N returns the system dimension.
 	N() int
@@ -26,44 +26,69 @@ type SparseFactor interface {
 	// RefactorFromCSR refactors numerically in place from a matrix with the
 	// pattern of the symbolic analysis.
 	RefactorFromCSR(a *sparse.CSR) error
-	// SolveInto overwrites x with A⁻¹·b without allocating.
+	// SolveInto overwrites x with A⁻¹·b without allocating. It runs in the
+	// factor's own scratch, so concurrent calls on one factor race.
 	SolveInto(x, b []float64) error
-	// SolveBatchInto solves nrhs stacked systems (vector v at [v·n, (v+1)·n))
-	// in one pass, bit-identical to nrhs separate SolveInto calls.
-	SolveBatchInto(x, b []float64, nrhs int) error
-	// UpdateEdge applies A → A + s²·(e_fa−e_fb)·(e_fa−e_fb)ᵀ in original
-	// indices; a negative terminal index means "pinned node" (absent).
-	UpdateEdge(fa, fb int, s float64)
-	// DowndateEdge applies A → A − s²·(e_fa−e_fb)·(e_fa−e_fb)ᵀ. On ErrNotSPD
-	// the factor is garbage and must be refactored.
-	DowndateEdge(fa, fb int, s float64) error
-	// Restore overwrites the numeric factor with a copy of src's, which must
-	// be the same backend with the same symbolic structure.
-	Restore(src SparseFactor) error
+	// SolveEdgeInto overwrites x with A⁻¹·(e_fa − e_fb) in original indices;
+	// a negative terminal index means "pinned node" (absent from the edge
+	// vector). The result is bit-identical to SolveInto with that
+	// right-hand side, but the forward sweep only visits the
+	// elimination-tree paths of the two terminals: the forward solution is
+	// zero everywhere else. z is caller-owned scratch of length N; it must
+	// be all-zero on entry and is left all-zero. The factor itself is only
+	// read, so concurrent calls on one shared factor with distinct x and z
+	// are safe.
+	SolveEdgeInto(x []float64, fa, fb int, z []float64) error
 	// CloneFactor returns an independent copy with private numeric state.
 	CloneFactor() SparseFactor
 }
 
-// Restore implements SparseFactor for the scalar backend.
-func (c *SparseCholesky) Restore(src SparseFactor) error {
-	s, ok := src.(*SparseCholesky)
-	if !ok {
-		return fmt.Errorf("solver: Restore backend mismatch: %T into %T", src, c)
+// checkEdgeArgs validates the arguments of SolveEdgeInto and maps the edge
+// terminals to permuted pivots (−1 = absent).
+func checkEdgeArgs(invp []int, x []float64, fa, fb int, z []float64) (pa, pb int, err error) {
+	n := len(invp)
+	if len(x) != n || len(z) != n {
+		return -1, -1, fmt.Errorf("solver: SolveEdgeInto lengths %d/%d do not match dimension %d", len(x), len(z), n)
 	}
-	return c.Set(s)
+	if fa >= n || fb >= n {
+		return -1, -1, fmt.Errorf("solver: SolveEdgeInto terminals %d/%d outside dimension %d", fa, fb, n)
+	}
+	if fa == fb {
+		return -1, -1, nil // e_fa − e_fa = 0
+	}
+	pa, pb = -1, -1
+	if fa >= 0 {
+		pa = invp[fa]
+	}
+	if fb >= 0 {
+		pb = invp[fb]
+	}
+	return pa, pb, nil
+}
+
+// nextOnPaths returns the smallest column left on the two ascending
+// elimination-tree paths headed by i and j (−1 = path exhausted) and
+// advances past it. Walking both paths this way visits their union in
+// ascending column order — the order of a full forward sweep.
+func nextOnPaths(parent []int, i, j *int) int {
+	k := *i
+	if k < 0 || (*j >= 0 && *j < k) {
+		k = *j
+	}
+	if k < 0 {
+		return -1
+	}
+	if *i == k {
+		*i = parent[k]
+	}
+	if *j == k {
+		*j = parent[k]
+	}
+	return k
 }
 
 // CloneFactor implements SparseFactor for the scalar backend.
 func (c *SparseCholesky) CloneFactor() SparseFactor { return c.Clone() }
-
-// Restore implements SparseFactor for the supernodal backend.
-func (c *SupernodalCholesky) Restore(src SparseFactor) error {
-	s, ok := src.(*SupernodalCholesky)
-	if !ok {
-		return fmt.Errorf("solver: Restore backend mismatch: %T into %T", src, c)
-	}
-	return c.Set(s)
-}
 
 // CloneFactor implements SparseFactor for the supernodal backend.
 func (c *SupernodalCholesky) CloneFactor() SparseFactor { return c.Clone() }

@@ -14,8 +14,8 @@ import (
 // beyond the dense path's reach. The fill-reducing permutation P and the
 // complete symbolic structure (elimination tree, row patterns, column
 // pointers, A-scatter slots) are computed once per pattern; after that,
-// numeric refactorization, triangular solves and Davis–Hager rank-one
-// up/downdates are allocation-free and touch only the fixed structure.
+// numeric refactorization and triangular solves are allocation-free and
+// touch only the fixed structure.
 //
 // The matrix must be structurally symmetric (grid stamping always is); the
 // symbolic analysis derives the elimination tree from the upper triangle of
@@ -44,9 +44,7 @@ type SparseCholesky struct {
 	atgt   []int32
 
 	x    []float64 // factorization scatter workspace; all-zero between calls
-	wbuf []float64 // up/downdate workspace; all-zero between calls
 	z    []float64 // permuted solve vector
-	zb   []float64 // batch solve scratch, grown on demand
 	fill []int     // per-column fill cursor during refactorization
 }
 
@@ -189,7 +187,6 @@ func (c *SparseCholesky) symbolic(a *sparse.CSR) {
 	}
 
 	c.x = make([]float64, n)
-	c.wbuf = make([]float64, n)
 	c.z = make([]float64, n)
 	c.fill = make([]int, n)
 }
@@ -271,190 +268,58 @@ func (c *SparseCholesky) SolveInto(x, b []float64) error {
 			z[c.rowind[p]] -= lx[p] * zj
 		}
 	}
-	for j := n - 1; j >= 0; j-- { // backward: Lᵀ·z = z'
-		s := z[j]
-		for p := c.colptr[j] + 1; p < c.colptr[j+1]; p++ {
-			s -= lx[p] * z[c.rowind[p]]
-		}
-		z[j] = s / lx[c.colptr[j]]
-	}
+	c.backward(z)
 	for k := 0; k < n; k++ {
 		x[c.perm[k]] = z[k]
 	}
 	return nil
 }
 
-// SolveBatchInto solves nrhs systems in one blocked pass: b and x hold nrhs
-// stacked vectors (vector v occupies [v·n, (v+1)·n)). The sweep streams each
-// column's pattern once for all right-hand sides, with the per-vector
-// arithmetic identical to nrhs separate SolveInto calls — batched and looped
-// solves agree bit for bit, the index traversal and factor loads are
-// amortized nrhs-fold.
-func (c *SparseCholesky) SolveBatchInto(x, b []float64, nrhs int) error {
-	if nrhs <= 0 {
-		return fmt.Errorf("solver: SolveBatchInto nrhs %d", nrhs)
+// backward runs the full backward sweep Lᵀ·z = z' in place.
+func (c *SparseCholesky) backward(z []float64) {
+	lx := c.lx
+	for j := c.n - 1; j >= 0; j-- {
+		s := z[j]
+		for p := c.colptr[j] + 1; p < c.colptr[j+1]; p++ {
+			s -= lx[p] * z[c.rowind[p]]
+		}
+		z[j] = s / lx[c.colptr[j]]
 	}
-	if len(b) != c.n*nrhs || len(x) != c.n*nrhs {
-		return fmt.Errorf("solver: SolveBatchInto lengths %d/%d, want %d", len(x), len(b), c.n*nrhs)
+}
+
+// SolveEdgeInto implements SparseFactor.SolveEdgeInto for the scalar
+// backend: the forward sweep runs the columns of the two terminal paths in
+// ascending order with the arithmetic of SolveInto, the backward sweep is
+// the full one.
+func (c *SparseCholesky) SolveEdgeInto(x []float64, fa, fb int, z []float64) error {
+	pa, pb, err := checkEdgeArgs(c.invp, x, fa, fb, z)
+	if err != nil {
+		return err
 	}
 	recordSparse(telemetry.SparseSolves)
 	n, lx := c.n, c.lx
-	if cap(c.zb) < n*nrhs {
-		c.zb = make([]float64, n*nrhs)
+	if pa >= 0 {
+		z[pa] = 1
 	}
-	zb := c.zb[:n*nrhs]
-	// Row-major permuted panel: the nrhs values of permuted row k are
-	// contiguous at [k·nrhs, (k+1)·nrhs), so the inner loops vectorize.
+	if pb >= 0 {
+		z[pb] = -1
+	}
+	for i, j := pa, pb; ; {
+		k := nextOnPaths(c.parent, &i, &j)
+		if k < 0 {
+			break
+		}
+		zk := z[k] / lx[c.colptr[k]]
+		z[k] = zk
+		for p := c.colptr[k] + 1; p < c.colptr[k+1]; p++ {
+			z[c.rowind[p]] -= lx[p] * zk
+		}
+	}
+	c.backward(z)
 	for k := 0; k < n; k++ {
-		p := c.perm[k]
-		row := zb[k*nrhs : (k+1)*nrhs]
-		for v := 0; v < nrhs; v++ {
-			row[v] = b[v*n+p]
-		}
+		x[c.perm[k]] = z[k]
+		z[k] = 0
 	}
-	for j := 0; j < n; j++ { // forward: L·z' = P·b
-		d := lx[c.colptr[j]]
-		zr := zb[j*nrhs : (j+1)*nrhs]
-		for v := range zr {
-			zr[v] /= d
-		}
-		for p := c.colptr[j] + 1; p < c.colptr[j+1]; p++ {
-			l := lx[p]
-			i := int(c.rowind[p])
-			tr := zb[i*nrhs : (i+1)*nrhs]
-			for v := range tr {
-				tr[v] -= l * zr[v]
-			}
-		}
-	}
-	for j := n - 1; j >= 0; j-- { // backward: Lᵀ·z = z'
-		zr := zb[j*nrhs : (j+1)*nrhs]
-		for p := c.colptr[j] + 1; p < c.colptr[j+1]; p++ {
-			l := lx[p]
-			i := int(c.rowind[p])
-			sr := zb[i*nrhs : (i+1)*nrhs]
-			for v := range zr {
-				zr[v] -= l * sr[v]
-			}
-		}
-		d := lx[c.colptr[j]]
-		for v := range zr {
-			zr[v] /= d
-		}
-	}
-	for k := 0; k < n; k++ {
-		p := c.perm[k]
-		row := zb[k*nrhs : (k+1)*nrhs]
-		for v := 0; v < nrhs; v++ {
-			x[v*n+p] = row[v]
-		}
-	}
-	return nil
-}
-
-// UpdateEdge applies the rank-one update A → A + s²·u·uᵀ with u = e_fa − e_fb
-// in original (unpermuted) indices; a terminal of −1 (pad or ground side of a
-// resistor) drops out of u. The entry (fa, fb) must be part of A's sparsity
-// pattern — true for every resistor stamp — which guarantees the update never
-// needs fill outside L's fixed pattern: the touched columns are exactly the
-// elimination-tree path from the first nonzero of P·u, and the fill-path
-// lemma keeps the working vector inside each visited column's row set. The
-// per-column rotation is the same LINPACK dchud arithmetic as the dense
-// DenseCholesky.Update, so the two paths agree bit-for-bit on shared
-// problems. Cost: O(path length × column nnz) instead of O(n²).
-func (c *SparseCholesky) UpdateEdge(fa, fb int, s float64) {
-	recordSparse(telemetry.SparseUpdates)
-	wb, lx := c.wbuf, c.lx
-	j := c.scatterEdge(fa, fb, s)
-	for ; j != -1; j = c.parent[j] {
-		alpha := wb[j]
-		if alpha == 0 {
-			continue
-		}
-		wb[j] = 0
-		ljj := lx[c.colptr[j]]
-		r := math.Hypot(ljj, alpha)
-		cc := r / ljj
-		ss := alpha / ljj
-		lx[c.colptr[j]] = r
-		for p := c.colptr[j] + 1; p < c.colptr[j+1]; p++ {
-			i := c.rowind[p]
-			lij := (lx[p] + ss*wb[i]) / cc
-			lx[p] = lij
-			wb[i] = cc*wb[i] - ss*lij
-		}
-	}
-}
-
-// DowndateEdge applies A → A − s²·u·uᵀ under the UpdateEdge contract (dchdd
-// arithmetic, matching DenseCholesky.Downdate). It returns ErrNotSPD —
-// leaving the factor partially modified, so the caller must refactor — when
-// the downdated matrix is not positive definite.
-func (c *SparseCholesky) DowndateEdge(fa, fb int, s float64) error {
-	recordSparse(telemetry.SparseDowndates)
-	wb, lx := c.wbuf, c.lx
-	j := c.scatterEdge(fa, fb, s)
-	for ; j != -1; j = c.parent[j] {
-		alpha := wb[j]
-		if alpha == 0 {
-			continue
-		}
-		wb[j] = 0
-		ljj := lx[c.colptr[j]]
-		d := (ljj - alpha) * (ljj + alpha)
-		if d <= 0 || math.IsNaN(d) {
-			// Restore the all-zero workspace invariant: every remaining
-			// nonzero of wb sits on the ancestor path of j.
-			for i := j; i != -1; i = c.parent[i] {
-				wb[i] = 0
-			}
-			return fmt.Errorf("%w: sparse downdate pivot %g at permuted column %d", ErrNotSPD, d, j)
-		}
-		r := math.Sqrt(d)
-		cc := r / ljj
-		ss := alpha / ljj
-		lx[c.colptr[j]] = r
-		for p := c.colptr[j] + 1; p < c.colptr[j+1]; p++ {
-			i := c.rowind[p]
-			lij := (lx[p] - ss*wb[i]) / cc
-			lx[p] = lij
-			wb[i] = cc*wb[i] - ss*lij
-		}
-	}
-	return nil
-}
-
-// scatterEdge loads ±s at the permuted positions of the edge terminals into
-// the update workspace and returns the first elimination-tree path node, or
-// -1 when both terminals are pinned.
-func (c *SparseCholesky) scatterEdge(fa, fb int, s float64) int {
-	j := c.n
-	if fa >= 0 {
-		pa := c.invp[fa]
-		c.wbuf[pa] = s
-		j = pa
-	}
-	if fb >= 0 {
-		pb := c.invp[fb]
-		c.wbuf[pb] = -s
-		if pb < j {
-			j = pb
-		}
-	}
-	if j == c.n {
-		return -1
-	}
-	return j
-}
-
-// Set overwrites the numeric factor with a copy of src's, which must share
-// the dimension (and, for a meaningful result, the symbolic structure — the
-// use case is restoring a pristine factor by memcpy at trial reset).
-func (c *SparseCholesky) Set(src *SparseCholesky) error {
-	if src.n != c.n || len(src.lx) != len(c.lx) {
-		return fmt.Errorf("solver: Set structure mismatch (%d/%d entries)", len(src.lx), len(c.lx))
-	}
-	copy(c.lx, src.lx)
 	return nil
 }
 
@@ -466,9 +331,7 @@ func (c *SparseCholesky) Clone() *SparseCholesky {
 	d := *c
 	d.lx = append([]float64(nil), c.lx...)
 	d.x = make([]float64, c.n)
-	d.wbuf = make([]float64, c.n)
 	d.z = make([]float64, c.n)
-	d.zb = nil
 	d.fill = make([]int, c.n)
 	return &d
 }

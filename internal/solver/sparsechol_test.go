@@ -2,7 +2,6 @@ package solver
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -169,137 +168,42 @@ func TestSparseCholeskySolvesGrid(t *testing.T) {
 	}
 }
 
-// TestSparseCholeskyUpdateDowndateMatchesRefactor drives the factor through
-// 1, 5 and 20 sequential edge downdates (EM failures) plus the matching
-// restores, comparing against a cold factorization of the edited matrix with
-// the same ordering after every edit — the acceptance bar of the incremental
-// engine (≤1e-10).
-func TestSparseCholeskyUpdateDowndateMatchesRefactor(t *testing.T) {
-	a := gridLaplacian(14, 14)
-	n, _ := a.Dims()
-	rng := rand.New(rand.NewSource(5))
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	id := func(ix, iy int) int { return ix*14 + iy }
-
-	for _, edits := range []int{1, 5, 20} {
-		sp, err := NewSparseCholeskyFromCSR(a.Clone())
-		if err != nil {
-			t.Fatal(err)
-		}
-		edited := a.Clone()
-		for e := 0; e < edits; e++ {
-			// Interior horizontal edges, each failed once (dg = −1).
-			i, j := id(1+e%12, 2+e/12), id(2+e%12, 2+e/12)
-			applyEdgeDelta(edited, i, j, -1)
-			if err := sp.DowndateEdge(i, j, 1); err != nil {
-				t.Fatalf("edits=%d: downdate %d: %v", edits, e, err)
-			}
-
-			cold, err := NewSparseCholeskyOrdered(edited, sp.Perm())
-			if err != nil {
-				t.Fatalf("edits=%d: cold refactor after %d: %v", edits, e, err)
-			}
-			xi, xc := make([]float64, n), make([]float64, n)
-			if err := sp.SolveInto(xi, b); err != nil {
-				t.Fatal(err)
-			}
-			if err := cold.SolveInto(xc, b); err != nil {
-				t.Fatal(err)
-			}
-			if d := maxAbsDiff(xi, xc); d > 1e-10 {
-				t.Fatalf("edits=%d: after edit %d incremental vs cold max diff %g", edits, e, d)
-			}
-		}
-		// Repair every failure (dg = +1) and compare against the pristine
-		// matrix: the round trip must come home.
-		for e := 0; e < edits; e++ {
-			i, j := id(1+e%12, 2+e/12), id(2+e%12, 2+e/12)
-			sp.UpdateEdge(i, j, 1)
-		}
-		cold, err := NewSparseCholeskyOrdered(a, sp.Perm())
-		if err != nil {
-			t.Fatal(err)
-		}
-		xi, xc := make([]float64, n), make([]float64, n)
-		if err := sp.SolveInto(xi, b); err != nil {
-			t.Fatal(err)
-		}
-		if err := cold.SolveInto(xc, b); err != nil {
-			t.Fatal(err)
-		}
-		if d := maxAbsDiff(xi, xc); d > 1e-10 {
-			t.Fatalf("edits=%d: restore round trip max diff %g", edits, d)
-		}
-	}
-}
-
-// TestSparseCholeskyGroundedEdge exercises the single-terminal form of the
-// edge update (the other terminal is a pad or ground and drops out of u).
+// TestSparseCholeskyGroundedEdge exercises the single-terminal edge solve
+// (the other terminal is a pad or ground and drops out of the edge vector)
+// against a cold solve of the unit right-hand side, and the both-pinned
+// edge, whose solution is zero.
 func TestSparseCholeskyGroundedEdge(t *testing.T) {
 	a := gridLaplacian(9, 9)
 	n, _ := a.Dims()
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = 1
-	}
-	sp, err := NewSparseCholeskyFromCSR(a.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	node := 40
-	s := math.Sqrt(0.5)
-	sp.UpdateEdge(node, -1, s) // extra 0.5 S to ground at one node
-	edited := a.Clone()
-	edited.AddAt(edited.SlotIndex(node, node), 0.5)
-	cold, err := NewSparseCholeskyOrdered(edited, sp.Perm())
-	if err != nil {
-		t.Fatal(err)
-	}
-	xi, xc := make([]float64, n), make([]float64, n)
-	if err := sp.SolveInto(xi, b); err != nil {
-		t.Fatal(err)
-	}
-	if err := cold.SolveInto(xc, b); err != nil {
-		t.Fatal(err)
-	}
-	if d := maxAbsDiff(xi, xc); d > 1e-10 {
-		t.Fatalf("grounded-edge update vs cold max diff %g", d)
-	}
-	sp.UpdateEdge(-1, -1, 1) // both terminals pinned: must be a no-op
-	if err := sp.DowndateEdge(-1, -1, 1); err != nil {
-		t.Fatalf("pinned-edge downdate: %v", err)
-	}
-}
-
-func TestSparseCholeskyDowndateRejectsIndefinite(t *testing.T) {
-	a := gridLaplacian(6, 6)
 	sp, err := NewSparseCholeskyFromCSR(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Removing 3 S from a unit edge makes the matrix indefinite.
-	if err := sp.DowndateEdge(7, 13, math.Sqrt(3)); !errors.Is(err, ErrNotSPD) {
-		t.Fatalf("indefinite downdate returned %v, want ErrNotSPD", err)
-	}
-	// The factor is garbage now, but the workspace invariant must survive a
-	// failed downdate: a refactor from the intact matrix has to recover.
-	if err := sp.RefactorFromCSR(a); err != nil {
-		t.Fatal(err)
-	}
-	n, _ := a.Dims()
+	node := 40
 	b := make([]float64, n)
-	for i := range b {
-		b[i] = float64(i%5) - 2
-	}
-	x := make([]float64, n)
-	if err := sp.SolveInto(x, b); err != nil {
+	b[node] = 1
+	xe, xc, z := make([]float64, n), make([]float64, n), make([]float64, n)
+	if err := sp.SolveEdgeInto(xe, -1, node, z); err != nil {
 		t.Fatal(err)
 	}
-	if r := residual(a, x, b); r > 1e-10 {
-		t.Fatalf("post-recovery residual %g", r)
+	if err := sp.SolveInto(xc, b); err != nil {
+		t.Fatal(err)
+	}
+	for i := range xe {
+		if xe[i] != -xc[i] {
+			t.Fatalf("grounded-edge solve entry %d: %g, want %g", i, xe[i], -xc[i])
+		}
+	}
+	if r := residual(a, xc, b); r > 1e-10 {
+		t.Fatalf("grounded-edge residual %g", r)
+	}
+	if err := sp.SolveEdgeInto(xe, -1, -1, z); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range xe {
+		if v != 0 {
+			t.Fatalf("both-pinned edge solve entry %d is %g, want 0", i, v)
+		}
 	}
 }
 
@@ -314,7 +218,10 @@ func TestSparseCholeskyRejectsIndefiniteMatrix(t *testing.T) {
 	}
 }
 
-func TestSparseCholeskySetAndClone(t *testing.T) {
+// TestSparseCholeskyCloneIndependent checks that a clone keeps its own
+// numeric state: refactoring the source from an edited matrix must leave the
+// clone solving the original system.
+func TestSparseCholeskyCloneIndependent(t *testing.T) {
 	a := gridLaplacian(8, 8)
 	n, _ := a.Dims()
 	sp, err := NewSparseCholeskyFromCSR(a.Clone())
@@ -322,7 +229,11 @@ func TestSparseCholeskySetAndClone(t *testing.T) {
 		t.Fatal(err)
 	}
 	pristine := sp.Clone()
-	sp.DowndateEdge(3, 11, 1) //nolint:errcheck // edge removal on a leaky mesh stays SPD
+	edited := a.Clone()
+	applyEdgeDelta(edited, 3, 11, -1)
+	if err := sp.RefactorFromCSR(edited); err != nil {
+		t.Fatal(err)
+	}
 	b := make([]float64, n)
 	for i := range b {
 		b[i] = 1
@@ -341,23 +252,10 @@ func TestSparseCholeskySetAndClone(t *testing.T) {
 	if d := maxAbsDiff(xp, xc); d > 1e-12 {
 		t.Fatalf("clone drifted with its source: max diff %g", d)
 	}
-	// Set restores the pristine factor by memcpy.
-	if err := sp.Set(pristine); err != nil {
-		t.Fatal(err)
-	}
-	if err := sp.SolveInto(xp, b); err != nil {
-		t.Fatal(err)
-	}
-	if d := maxAbsDiff(xp, xc); d > 1e-12 {
-		t.Fatalf("Set did not restore the factor: max diff %g", d)
-	}
-	if err := sp.Set(&SparseCholesky{n: 3}); err == nil {
-		t.Fatal("Set accepted a mismatched factor")
-	}
 }
 
 // TestSparseCholeskyZeroAlloc pins the allocation-free contract of every
-// steady-state operation: refactor, solve, and edge up/downdates.
+// steady-state operation: refactor, solve, and edge solve.
 func TestSparseCholeskyZeroAlloc(t *testing.T) {
 	a := gridLaplacian(12, 12)
 	n, _ := a.Dims()
@@ -369,7 +267,7 @@ func TestSparseCholeskyZeroAlloc(t *testing.T) {
 	for i := range b {
 		b[i] = 1
 	}
-	x := make([]float64, n)
+	x, z := make([]float64, n), make([]float64, n)
 	if allocs := testing.AllocsPerRun(10, func() {
 		if err := sp.RefactorFromCSR(a); err != nil {
 			t.Fatal(err)
@@ -377,10 +275,9 @@ func TestSparseCholeskyZeroAlloc(t *testing.T) {
 		if err := sp.SolveInto(x, b); err != nil {
 			t.Fatal(err)
 		}
-		if err := sp.DowndateEdge(17, 29, 0.5); err != nil {
+		if err := sp.SolveEdgeInto(x, 17, 29, z); err != nil {
 			t.Fatal(err)
 		}
-		sp.UpdateEdge(17, 29, 0.5)
 	}); allocs != 0 {
 		t.Fatalf("steady-state sparse ops allocated %v times per run", allocs)
 	}

@@ -14,7 +14,7 @@ import (
 // SupernodalCholesky is a blocked sparse LLᵀ factorization P·A·Pᵀ = L·Lᵀ for
 // large SPD systems. It shares the scalar SparseCholesky's contract — fixed
 // sparsity pattern, allocation-free refactorization and triangular solves,
-// Davis–Hager edge up/downdates — but stores L in supernodal panels and runs
+// edge solves over elimination-tree paths — but stores L in supernodal panels and runs
 // the numeric factorization as parallel supernode tasks over the elimination
 // tree.
 //
@@ -98,9 +98,7 @@ type SupernodalCholesky struct {
 	relFor []int32
 	ybuf   [][]float64
 
-	wbuf []float64 // up/downdate workspace; all-zero between calls
 	z    []float64 // permuted solve vector
-	zb   []float64 // batch solve scratch, grown on demand
 	errs []error   // per-supernode factorization error, nil between calls
 
 	// Pre-created dispatch closures (allocation-free refactors) and their
@@ -492,7 +490,6 @@ func (c *SupernodalCholesky) symbolic(a *sparse.CSR) {
 	}
 
 	// Workspaces and dispatch closures.
-	c.wbuf = make([]float64, n)
 	c.z = make([]float64, n)
 	c.errs = make([]error, c.nsup)
 	c.initScratch()
@@ -822,7 +819,17 @@ func (c *SupernodalCholesky) SolveInto(x, b []float64) error {
 			}
 		}
 	}
-	for s := c.nsup - 1; s >= 0; s-- { // backward: Lᵀ·z = z'
+	c.backward(z)
+	for k := 0; k < n; k++ {
+		x[c.perm[k]] = z[k]
+	}
+	return nil
+}
+
+// backward runs the full backward sweep Lᵀ·z = z' in place.
+func (c *SupernodalCholesky) backward(z []float64) {
+	px := c.px
+	for s := c.nsup - 1; s >= 0; s-- {
 		po := c.pptr[s]
 		rows := c.snRows[c.snRptr[s]:c.snRptr[s+1]]
 		lr := len(rows)
@@ -835,222 +842,6 @@ func (c *SupernodalCholesky) SolveInto(x, b []float64) error {
 				sum -= px[base+u] * z[rows[u]]
 			}
 			z[c0+jj] = sum / px[base+jj]
-		}
-	}
-	for k := 0; k < n; k++ {
-		x[c.perm[k]] = z[k]
-	}
-	return nil
-}
-
-// SolveBatchInto solves nrhs systems in one blocked pass: b and x hold nrhs
-// stacked vectors (vector k occupies [k·n, (k+1)·n)). Internally the panel
-// is transposed to row-major so each column operation streams over the nrhs
-// values of one row contiguously; the per-vector arithmetic is identical to
-// nrhs separate SolveInto calls, so batched and looped solves agree bit for
-// bit. Groups of eight or more vectors go through a fixed 16-lane kernel
-// (solveBatch16) whose unrolled inner loops dodge per-element bounds checks;
-// smaller groups and the tail use the variable-width pass.
-func (c *SupernodalCholesky) SolveBatchInto(x, b []float64, nrhs int) error {
-	if nrhs <= 0 {
-		return fmt.Errorf("solver: SolveBatchInto nrhs %d", nrhs)
-	}
-	if len(b) != c.n*nrhs || len(x) != c.n*nrhs {
-		return fmt.Errorf("solver: SolveBatchInto lengths %d/%d, want %d", len(x), len(b), c.n*nrhs)
-	}
-	recordSparse(telemetry.SparseSolves)
-	for g0 := 0; g0 < nrhs; {
-		m := nrhs - g0
-		switch {
-		case m >= 8:
-			if m > 16 {
-				m = 16
-			}
-			c.solveBatch16(x, b, g0, m)
-		default:
-			c.solveBatchVar(x, b, g0, m)
-		}
-		g0 += m
-	}
-	return nil
-}
-
-// solveBatch16 runs the row-major triangular passes over lanes
-// [g0, g0+m) of the stacked right-hand sides, m ≤ 16, padding the scratch to
-// a constant 16 lanes. Lanes never mix, so the pad lanes (zero-filled at
-// gather) change nothing, and the array-pointer views let the 16-wide inner
-// loops run without bounds checks.
-func (c *SupernodalCholesky) solveBatch16(x, b []float64, g0, m int) {
-	const W = 16
-	n, px := c.n, c.px
-	if cap(c.zb) < n*W {
-		c.zb = make([]float64, n*W)
-	}
-	zb := c.zb[:n*W]
-	for k := 0; k < n; k++ {
-		p := c.perm[k]
-		row := (*[W]float64)(zb[k*W:])
-		for v := 0; v < m; v++ {
-			row[v] = b[(g0+v)*n+p]
-		}
-		for v := m; v < W; v++ {
-			row[v] = 0
-		}
-	}
-	for s := 0; s < c.nsup; s++ { // forward
-		po := c.pptr[s]
-		rows := c.snRows[c.snRptr[s]:c.snRptr[s+1]]
-		lr := len(rows)
-		w := int(c.snCol[s+1] - c.snCol[s])
-		c0 := int(c.snCol[s])
-		// Diagonal block: divide each pivot lane and propagate it to the
-		// remaining rows of the supernode, column by column.
-		for jj := 0; jj < w; jj++ {
-			base := po + jj*lr
-			inv := px[base+jj]
-			zr := (*[W]float64)(zb[(c0+jj)*W:])
-			for v := 0; v < W; v++ {
-				zr[v] /= inv
-			}
-			// Copy the pivot lanes into a local block: the target rows tr
-			// alias zb, so reading through zr would force a reload per u.
-			zl := *zr
-			for u := jj + 1; u < w; u++ {
-				l := px[base+u]
-				if l == 0 {
-					continue // amalgamation padding; x − 0·z = x bit for bit
-				}
-				tr := (*[W]float64)(zb[int(rows[u])*W:])
-				for v := 0; v < W; v++ {
-					tr[v] -= l * zl[v]
-				}
-			}
-		}
-		// Rectangular block: apply all w finalized pivot lanes to each row
-		// below the supernode with one load/store per row. Per element the
-		// subtractions still run in jj-ascending order against fully
-		// divided pivot lanes, exactly as in the column-at-a-time schedule,
-		// so the result is bit-identical.
-		for u := w; u < lr; u++ {
-			tr := (*[W]float64)(zb[int(rows[u])*W:])
-			acc := *tr
-			for jj := 0; jj < w; jj++ {
-				l := px[po+jj*lr+u]
-				if l == 0 {
-					continue
-				}
-				zr := (*[W]float64)(zb[(c0+jj)*W:])
-				for v := 0; v < W; v++ {
-					acc[v] -= l * zr[v]
-				}
-			}
-			*tr = acc
-		}
-	}
-	for s := c.nsup - 1; s >= 0; s-- { // backward
-		po := c.pptr[s]
-		rows := c.snRows[c.snRptr[s]:c.snRptr[s+1]]
-		lr := len(rows)
-		w := int(c.snCol[s+1] - c.snCol[s])
-		c0 := int(c.snCol[s])
-		for jj := w - 1; jj >= 0; jj-- {
-			base := po + jj*lr
-			zr := (*[W]float64)(zb[(c0+jj)*W:])
-			// Accumulate into a local block in the same u-ascending order
-			// (bit-identical) so the running value stays out of memory: zr
-			// aliases zb, and updating through it re-loads and re-stores
-			// all W lanes on every source row.
-			acc := *zr
-			for u := jj + 1; u < lr; u++ {
-				l := px[base+u]
-				if l == 0 {
-					continue
-				}
-				sr := (*[W]float64)(zb[int(rows[u])*W:])
-				for v := 0; v < W; v++ {
-					acc[v] -= l * sr[v]
-				}
-			}
-			inv := px[base+jj]
-			for v := 0; v < W; v++ {
-				acc[v] /= inv
-			}
-			*zr = acc
-		}
-	}
-	for k := 0; k < n; k++ {
-		p := c.perm[k]
-		row := (*[W]float64)(zb[k*W:])
-		for v := 0; v < m; v++ {
-			x[(g0+v)*n+p] = row[v]
-		}
-	}
-}
-
-// solveBatchVar is the variable-width row-major pass for lanes [g0, g0+nrhs)
-// of the stacked right-hand sides.
-func (c *SupernodalCholesky) solveBatchVar(x, b []float64, g0, nrhs int) {
-	n, px := c.n, c.px
-	if cap(c.zb) < n*nrhs {
-		c.zb = make([]float64, n*nrhs)
-	}
-	zb := c.zb[:n*nrhs]
-	for k := 0; k < n; k++ {
-		p := c.perm[k]
-		row := zb[k*nrhs : (k+1)*nrhs]
-		for v := 0; v < nrhs; v++ {
-			row[v] = b[(g0+v)*n+p]
-		}
-	}
-	for s := 0; s < c.nsup; s++ { // forward
-		po := c.pptr[s]
-		rows := c.snRows[c.snRptr[s]:c.snRptr[s+1]]
-		lr := len(rows)
-		w := int(c.snCol[s+1] - c.snCol[s])
-		c0 := int(c.snCol[s])
-		for jj := 0; jj < w; jj++ {
-			base := po + jj*lr
-			inv := px[base+jj]
-			zr := zb[(c0+jj)*nrhs : (c0+jj+1)*nrhs]
-			for v := range zr {
-				zr[v] /= inv
-			}
-			for u := jj + 1; u < lr; u++ {
-				l := px[base+u]
-				tr := zb[int(rows[u])*nrhs : (int(rows[u])+1)*nrhs]
-				for v := range tr {
-					tr[v] -= l * zr[v]
-				}
-			}
-		}
-	}
-	for s := c.nsup - 1; s >= 0; s-- { // backward
-		po := c.pptr[s]
-		rows := c.snRows[c.snRptr[s]:c.snRptr[s+1]]
-		lr := len(rows)
-		w := int(c.snCol[s+1] - c.snCol[s])
-		c0 := int(c.snCol[s])
-		for jj := w - 1; jj >= 0; jj-- {
-			base := po + jj*lr
-			zr := zb[(c0+jj)*nrhs : (c0+jj+1)*nrhs]
-			for u := jj + 1; u < lr; u++ {
-				l := px[base+u]
-				sr := zb[int(rows[u])*nrhs : (int(rows[u])+1)*nrhs]
-				for v := range zr {
-					zr[v] -= l * sr[v]
-				}
-			}
-			inv := px[base+jj]
-			for v := range zr {
-				zr[v] /= inv
-			}
-		}
-	}
-	for k := 0; k < n; k++ {
-		p := c.perm[k]
-		row := zb[k*nrhs : (k+1)*nrhs]
-		for v := 0; v < nrhs; v++ {
-			x[(g0+v)*n+p] = row[v]
 		}
 	}
 }
@@ -1066,101 +857,41 @@ func (c *SupernodalCholesky) colBase(j int) (base, jj, lr int, rows []int32) {
 	return base, jj, lr, rows
 }
 
-// UpdateEdge applies the rank-one update A → A + s²·u·uᵀ with u = e_fa − e_fb
-// in original indices, under the same contract and dchud arithmetic as
-// SparseCholesky.UpdateEdge: the touched columns are the etree path from the
-// first nonzero of P·u, each rotated in ascending row order.
-func (c *SupernodalCholesky) UpdateEdge(fa, fb int, s float64) {
-	recordSparse(telemetry.SparseUpdates)
-	wb, px := c.wbuf, c.px
-	j := c.scatterEdge(fa, fb, s)
-	for ; j != -1; j = c.parent[j] {
-		alpha := wb[j]
-		if alpha == 0 {
-			continue
+// SolveEdgeInto implements SparseFactor.SolveEdgeInto for the supernodal
+// backend. The columns of a supernode form an etree chain and its tail rows
+// are ancestors of its last column, so every panel row a path column
+// updates lies on the path too; stored amalgamation zeros subtract an exact
+// zero, as in the full sweep.
+func (c *SupernodalCholesky) SolveEdgeInto(x []float64, fa, fb int, z []float64) error {
+	pa, pb, err := checkEdgeArgs(c.invp, x, fa, fb, z)
+	if err != nil {
+		return err
+	}
+	recordSparse(telemetry.SparseSolves)
+	px := c.px
+	if pa >= 0 {
+		z[pa] = 1
+	}
+	if pb >= 0 {
+		z[pb] = -1
+	}
+	for i, j := pa, pb; ; {
+		k := nextOnPaths(c.parent, &i, &j)
+		if k < 0 {
+			break
 		}
-		wb[j] = 0
-		base, jj, lr, rows := c.colBase(j)
-		ljj := px[base+jj]
-		r := math.Hypot(ljj, alpha)
-		cc := r / ljj
-		ss := alpha / ljj
-		px[base+jj] = r
+		base, jj, lr, rows := c.colBase(k)
+		zk := z[k] / px[base+jj]
+		z[k] = zk
 		for u := jj + 1; u < lr; u++ {
-			i := rows[u]
-			lij := (px[base+u] + ss*wb[i]) / cc
-			px[base+u] = lij
-			wb[i] = cc*wb[i] - ss*lij
+			z[rows[u]] -= px[base+u] * zk
 		}
 	}
-}
-
-// DowndateEdge applies A → A − s²·u·uᵀ (dchdd arithmetic). It returns
-// ErrNotSPD — leaving the factor partially modified, so the caller must
-// refactor — when the downdated matrix is not positive definite.
-func (c *SupernodalCholesky) DowndateEdge(fa, fb int, s float64) error {
-	recordSparse(telemetry.SparseDowndates)
-	wb, px := c.wbuf, c.px
-	j := c.scatterEdge(fa, fb, s)
-	for ; j != -1; j = c.parent[j] {
-		alpha := wb[j]
-		if alpha == 0 {
-			continue
-		}
-		wb[j] = 0
-		base, jj, lr, rows := c.colBase(j)
-		ljj := px[base+jj]
-		d := (ljj - alpha) * (ljj + alpha)
-		if d <= 0 || math.IsNaN(d) {
-			for i := j; i != -1; i = c.parent[i] {
-				wb[i] = 0
-			}
-			return fmt.Errorf("%w: supernodal downdate pivot %g at permuted column %d", ErrNotSPD, d, j)
-		}
-		r := math.Sqrt(d)
-		cc := r / ljj
-		ss := alpha / ljj
-		px[base+jj] = r
-		for u := jj + 1; u < lr; u++ {
-			i := rows[u]
-			lij := (px[base+u] - ss*wb[i]) / cc
-			px[base+u] = lij
-			wb[i] = cc*wb[i] - ss*lij
-		}
+	c.backward(z)
+	for k := 0; k < c.n; k++ {
+		x[c.perm[k]] = z[k]
+		z[k] = 0
 	}
-	return nil
-}
-
-// scatterEdge loads ±s at the permuted positions of the edge terminals into
-// the update workspace and returns the first elimination-tree path node, or
-// -1 when both terminals are pinned.
-func (c *SupernodalCholesky) scatterEdge(fa, fb int, s float64) int {
-	j := c.n
-	if fa >= 0 {
-		pa := c.invp[fa]
-		c.wbuf[pa] = s
-		j = pa
-	}
-	if fb >= 0 {
-		pb := c.invp[fb]
-		c.wbuf[pb] = -s
-		if pb < j {
-			j = pb
-		}
-	}
-	if j == c.n {
-		return -1
-	}
-	return j
-}
-
-// Set overwrites the numeric factor with a copy of src's, which must share
-// the symbolic structure (trial-reset restore by memcpy).
-func (c *SupernodalCholesky) Set(src *SupernodalCholesky) error {
-	if src.n != c.n || len(src.px) != len(c.px) {
-		return fmt.Errorf("solver: Set structure mismatch (%d/%d entries)", len(src.px), len(c.px))
-	}
-	copy(c.px, src.px)
 	return nil
 }
 
@@ -1169,9 +900,7 @@ func (c *SupernodalCholesky) Set(src *SupernodalCholesky) error {
 func (c *SupernodalCholesky) Clone() *SupernodalCholesky {
 	d := *c
 	d.px = append([]float64(nil), c.px...)
-	d.wbuf = make([]float64, c.n)
 	d.z = make([]float64, c.n)
-	d.zb = nil
 	d.errs = make([]error, c.nsup)
 	d.initScratch()
 	return &d

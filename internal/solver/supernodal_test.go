@@ -2,8 +2,10 @@ package solver
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"emvia/internal/par"
@@ -106,18 +108,15 @@ func TestSupernodalMatchesScalarAndDense(t *testing.T) {
 	}
 }
 
-// TestSupernodalBatchSolveBitIdentical pins the batch-solve contract on every
-// backend: SolveBatchInto must reproduce nrhs looped SolveInto calls bit for
-// bit, not just to rounding.
-func TestSupernodalBatchSolveBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	a := gridLaplacian(40, 41)
+// TestSparseEdgeSolveBitIdentical pins the edge-solve contract on both
+// sparse backends: SolveEdgeInto must reproduce SolveInto with right-hand
+// side e_fa − e_fb bit for bit — including single-terminal (pad) edges,
+// degenerate edges and non-adjacent node pairs — must leave its scratch
+// all-zero, and must give the same bits when goroutines share the factor.
+func TestSparseEdgeSolveBitIdentical(t *testing.T) {
+	const ny = 41
+	a := gridLaplacian(40, ny)
 	n, _ := a.Dims()
-	const nrhs = 7
-	b := make([]float64, n*nrhs)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
 	sup, err := NewSupernodalCholeskyFromCSR(a, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -126,26 +125,78 @@ func TestSupernodalBatchSolveBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	backends := []struct {
+	edges := [][2]int{
+		{0, 1}, {100, 100 + ny}, {n - 2, n - 1}, {777, 778},
+		{500, -1}, {-1, 1234}, {n - 1, -1}, // one terminal pinned
+		{3, n - 4}, {900, 17}, // far apart: two long paths that merge late
+		{42, 42}, {-1, -1}, // degenerate: the zero vector
+	}
+	for _, bk := range []struct {
 		name string
 		f    SparseFactor
-	}{{"supernodal", sup}, {"scalar", scal}}
-	for _, bk := range backends {
-		batch := make([]float64, n*nrhs)
-		if err := bk.f.SolveBatchInto(batch, b, nrhs); err != nil {
-			t.Fatalf("%s: %v", bk.name, err)
-		}
-		loop := make([]float64, n)
-		for v := 0; v < nrhs; v++ {
-			if err := bk.f.SolveInto(loop, b[v*n:(v+1)*n]); err != nil {
+	}{{"supernodal", sup}, {"scalar", scal}} {
+		want := make([][]float64, len(edges))
+		z := make([]float64, n)
+		for ei, e := range edges {
+			b := make([]float64, n)
+			if e[0] >= 0 {
+				b[e[0]] = 1
+			}
+			if e[1] >= 0 {
+				b[e[1]] -= 1
+			}
+			want[ei] = make([]float64, n)
+			if err := bk.f.SolveInto(want[ei], b); err != nil {
 				t.Fatalf("%s: %v", bk.name, err)
 			}
-			for i := range loop {
-				if math.Float64bits(batch[v*n+i]) != math.Float64bits(loop[i]) {
-					t.Fatalf("%s: batch and looped solve differ at rhs %d entry %d: %x vs %x",
-						bk.name, v, i, math.Float64bits(batch[v*n+i]), math.Float64bits(loop[i]))
+			got := make([]float64, n)
+			if err := bk.f.SolveEdgeInto(got, e[0], e[1], z); err != nil {
+				t.Fatalf("%s edge %v: %v", bk.name, e, err)
+			}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[ei][i]) {
+					t.Fatalf("%s edge %v: entry %d is %x, SolveInto gives %x",
+						bk.name, e, i, math.Float64bits(got[i]), math.Float64bits(want[ei][i]))
+				}
+				if z[i] != 0 {
+					t.Fatalf("%s edge %v: scratch entry %d left at %g", bk.name, e, i, z[i])
 				}
 			}
+		}
+		// Concurrent edge solves on the one factor, each with its own
+		// scratch: same bits, and no data race under -race.
+		var wg sync.WaitGroup
+		errs := make([]error, 4)
+		for g := range errs {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				x, z := make([]float64, n), make([]float64, n)
+				for ei, e := range edges {
+					if err := bk.f.SolveEdgeInto(x, e[0], e[1], z); err != nil {
+						errs[g] = err
+						return
+					}
+					for i := range x {
+						if math.Float64bits(x[i]) != math.Float64bits(want[ei][i]) {
+							errs[g] = fmt.Errorf("edge %v entry %d differs under concurrency", e, i)
+							return
+						}
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatalf("%s: %v", bk.name, err)
+			}
+		}
+		if err := bk.f.SolveEdgeInto(make([]float64, n), n, 0, z); err == nil {
+			t.Fatalf("%s: SolveEdgeInto accepted an out-of-range terminal", bk.name)
+		}
+		if err := bk.f.SolveEdgeInto(make([]float64, n-1), 0, 1, z); err == nil {
+			t.Fatalf("%s: SolveEdgeInto accepted a short destination", bk.name)
 		}
 	}
 }
@@ -195,73 +246,6 @@ func TestSupernodalWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// TestSupernodalUpdateDowndateMatchesScalar drives identical edge up/downdate
-// sequences through both sparse backends and checks they keep agreeing with a
-// from-scratch refactorization.
-func TestSupernodalUpdateDowndateMatchesScalar(t *testing.T) {
-	a := gridLaplacian(12, 14)
-	n, _ := a.Dims()
-	perm := AMDOrder(a)
-	sup, err := NewSupernodalCholeskyOrdered(a, perm, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scal, err := NewSparseCholeskyOrdered(a, perm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	edges := []struct {
-		i, j int
-		dg   float64
-	}{
-		{3, 4, 0.7},
-		{20, 34, 1.3},
-		{100, 101, 0.25},
-		{3, 4, -0.5}, // partial downdate of the first edit
-	}
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = float64((i*7)%11) - 5
-	}
-	for ei, e := range edges {
-		s := math.Sqrt(math.Abs(e.dg))
-		if e.dg >= 0 {
-			sup.UpdateEdge(e.i, e.j, s)
-			scal.UpdateEdge(e.i, e.j, s)
-		} else {
-			if err := sup.DowndateEdge(e.i, e.j, s); err != nil {
-				t.Fatalf("edit %d: supernodal downdate: %v", ei, err)
-			}
-			if err := scal.DowndateEdge(e.i, e.j, s); err != nil {
-				t.Fatalf("edit %d: scalar downdate: %v", ei, err)
-			}
-		}
-		applyEdgeDelta(a, e.i, e.j, e.dg)
-		ref, err := NewSparseCholeskyOrdered(a, perm)
-		if err != nil {
-			t.Fatalf("edit %d: refactor: %v", ei, err)
-		}
-		xs, xc, xr := make([]float64, n), make([]float64, n), make([]float64, n)
-		if err := sup.SolveInto(xs, b); err != nil {
-			t.Fatal(err)
-		}
-		if err := scal.SolveInto(xc, b); err != nil {
-			t.Fatal(err)
-		}
-		if err := ref.SolveInto(xr, b); err != nil {
-			t.Fatal(err)
-		}
-		for i := range xs {
-			if d := math.Abs(xs[i] - xc[i]); d > 1e-10 {
-				t.Fatalf("edit %d: supernodal vs scalar differ at %d: %g vs %g", ei, i, xs[i], xc[i])
-			}
-			if d := math.Abs(xs[i] - xr[i]); d > 1e-8 {
-				t.Fatalf("edit %d: supernodal vs refactored differ at %d: %g vs %g", ei, i, xs[i], xr[i])
-			}
-		}
-	}
-}
-
 // TestSupernodalRefactorTracksEdits mirrors the engine's epoch protocol:
 // mutate the matrix in place, RefactorFromCSR, and check against a fresh
 // factorization.
@@ -289,19 +273,6 @@ func TestSupernodalRefactorTracksEdits(t *testing.T) {
 	_ = n
 }
 
-func TestSupernodalDowndateRejectsIndefinite(t *testing.T) {
-	a := gridLaplacian(10, 10)
-	c, err := NewSupernodalCholeskyFromCSR(a, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Removing far more conductance than the edge carries drives the matrix
-	// indefinite; the downdate must report it.
-	if err := c.DowndateEdge(4, 5, 10); !errors.Is(err, ErrNotSPD) {
-		t.Fatalf("downdate of indefinite matrix returned %v, want ErrNotSPD", err)
-	}
-}
-
 func TestSupernodalRejectsIndefiniteMatrix(t *testing.T) {
 	tr := sparse.NewTriplet(2, 2, 4)
 	tr.Add(0, 0, 1)
@@ -313,54 +284,44 @@ func TestSupernodalRejectsIndefiniteMatrix(t *testing.T) {
 	}
 }
 
-func TestSupernodalSetCloneRestore(t *testing.T) {
+// TestSupernodalCloneIndependent checks that a clone keeps its own numeric
+// state: refactoring the source from an edited matrix must leave the clone
+// solving the original system bit for bit.
+func TestSupernodalCloneIndependent(t *testing.T) {
 	a := gridLaplacian(14, 14)
 	n, _ := a.Dims()
-	c, err := NewSupernodalCholeskyFromCSR(a, nil)
+	c, err := NewSupernodalCholeskyFromCSR(a.Clone(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pristine := c.Clone()
-	c.UpdateEdge(7, 8, 1.5)
 	b := make([]float64, n)
 	for i := range b {
 		b[i] = 1
 	}
-	x1 := make([]float64, n)
-	if err := c.SolveInto(x1, b); err != nil {
-		t.Fatal(err)
-	}
-	// Restore through the SparseFactor interface and verify the pristine
-	// solution returns bit-exactly.
 	x0 := make([]float64, n)
-	if err := pristine.SolveInto(x0, b); err != nil {
+	if err := c.SolveInto(x0, b); err != nil {
 		t.Fatal(err)
 	}
 	var f SparseFactor = c
-	if err := f.Restore(pristine); err != nil {
+	pristine := f.CloneFactor()
+	edited := a.Clone()
+	applyEdgeDelta(edited, 7, 8, 1.5)
+	if err := c.RefactorFromCSR(edited); err != nil {
 		t.Fatal(err)
 	}
-	x2 := make([]float64, n)
-	if err := c.SolveInto(x2, b); err != nil {
+	x1 := make([]float64, n)
+	if err := pristine.SolveInto(x1, b); err != nil {
 		t.Fatal(err)
 	}
 	for i := range x0 {
-		if math.Float64bits(x0[i]) != math.Float64bits(x2[i]) {
-			t.Fatalf("restored factor solution differs at %d", i)
+		if math.Float64bits(x0[i]) != math.Float64bits(x1[i]) {
+			t.Fatalf("clone drifted with its source at %d", i)
 		}
-	}
-	// Backend mismatch must be rejected, not silently ignored.
-	scal, err := NewSparseCholeskyFromCSR(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Restore(scal); err == nil {
-		t.Fatal("Restore accepted a mismatched backend")
 	}
 }
 
 // TestSupernodalZeroAllocHotPath pins the allocation-free contract of the
-// refactor/solve/batch cycle on the serial path.
+// refactor/solve/edge-solve cycle on the serial path.
 func TestSupernodalZeroAllocHotPath(t *testing.T) {
 	a := gridLaplacian(20, 20)
 	n, _ := a.Dims()
@@ -368,23 +329,19 @@ func TestSupernodalZeroAllocHotPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const nrhs = 4
-	b := make([]float64, n*nrhs)
+	b := make([]float64, n)
 	for i := range b {
 		b[i] = 1
 	}
-	x := make([]float64, n*nrhs)
-	if err := c.SolveBatchInto(x, b, nrhs); err != nil { // sizes zb once
-		t.Fatal(err)
-	}
+	x, z := make([]float64, n), make([]float64, n)
 	allocs := testing.AllocsPerRun(10, func() {
 		if err := c.RefactorFromCSR(a); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.SolveInto(x[:n], b[:n]); err != nil {
+		if err := c.SolveInto(x, b); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.SolveBatchInto(x, b, nrhs); err != nil {
+		if err := c.SolveEdgeInto(x, 17, 29, z); err != nil {
 			t.Fatal(err)
 		}
 	})

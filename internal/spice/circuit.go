@@ -26,14 +26,6 @@ const (
 	// above it the supernodal panels amortize indexing across dense columns
 	// and the elimination-tree level schedule can use the solver worker pool.
 	supernodalMinNodes = 2048
-	// sparseUpdateBudget caps how many rank-one factor updates may accumulate
-	// between solves on the sparse direct path. A failure cascade edits one
-	// resistor per solve and never comes near it; a bulk value push (load
-	// re-tuning rescales every wire) would cost thousands of etree-path
-	// updates, where a single refactorization over the static structure is
-	// far cheaper — so past the budget the factor is just marked stale and
-	// the next solve refactors once.
-	sparseUpdateBudget = 32
 	// precondRefreshEdits is the staleness budget K: a Refreshable
 	// preconditioner is refactored in place once this many resistor edits
 	// have accumulated since it last matched the matrix. Below the budget
@@ -141,20 +133,24 @@ type assembly struct {
 	chol         *solver.DenseCholesky
 	chol0        *solver.DenseCholesky
 	w            []float64 // rank-one update scratch
-	needRefactor bool      // a downdate broke down; refactor from mat lazily
+	needRefactor bool      // the factor no longer matches mat; refactor lazily
 
-	// Sparse direct path (large grids): fill-reducing-ordered sparse Cholesky
-	// factor maintained by Davis–Hager edge up/downdates; schol0 is the
-	// pristine factor restored at trial reset by memcpy. Unlike the dense
-	// path the factor engages eagerly on the first solve — above the dense
-	// ceiling the symbolic-plus-numeric factorization already beats a cold
-	// preconditioned CG solve, and every re-solve after it is two triangular
-	// sweeps over nnz(L). needRefactor is shared with the dense path (only
-	// one direct backend is ever active).
+	// Sparse direct path (large grids): pristine is the fill-reducing-ordered
+	// sparse Cholesky factor of the compiled matrix values. Unlike the dense
+	// path it engages eagerly on the first solve — above the dense ceiling
+	// the symbolic-plus-numeric factorization already beats a cold
+	// preconditioned CG solve. It is never modified afterwards: clones share
+	// it read-only (borrowed), and SolveEdge runs against it with
+	// caller-owned scratch. Full solves of an edited matrix use the private
+	// factor, refactored from the matrix values when needRefactor is set
+	// (shared with the dense path: only one direct backend is ever active).
+	// A borrowing clone also solves the pristine system on a private copy,
+	// since a factor's solve scratch is its own.
 	sparseDirect bool
-	schol        solver.SparseFactor
-	schol0       solver.SparseFactor
-	pendingEdits int // factor updates since the last solve (sparseUpdateBudget)
+	pristine     solver.SparseFactor
+	private      solver.SparseFactor
+	borrowed     bool // pristine belongs to the circuit this one was cloned from
+	edited       bool // matrix values differ from the compiled ones
 
 	// Iterative-path scratch: CG workspace and the warm-start vector.
 	work solver.Workspace
@@ -491,27 +487,12 @@ func (c *Circuit) editResistor(i int, dg float64) {
 	c.editsSinceRefresh++
 	c.met.slotEdits.Inc()
 	if a.sparseDirect {
-		if a.schol != nil && !a.needRefactor {
-			a.pendingEdits++
-			if a.pendingEdits > sparseUpdateBudget {
-				// A bulk edit burst: one refactorization at the next solve
-				// beats continuing to chase it with rank-one updates.
-				a.needRefactor = true
-				return
-			}
-			// The edit is rank-one along a structural edge of A, so the
-			// sparse factor absorbs it along the elimination-tree path —
-			// O(path × column nnz) instead of a refactorization or a fresh
-			// Krylov solve.
-			s := math.Sqrt(math.Abs(dg))
-			if dg > 0 {
-				a.schol.UpdateEdge(sl.fa, sl.fb, s)
-			} else if err := a.schol.DowndateEdge(sl.fa, sl.fb, s); err != nil {
-				// Cancellation broke the downdate; the CSR values are always
-				// correct, so refactor from them at the next solve.
-				a.needRefactor = true
-			}
-		}
+		// The pristine factor is never edited; the next full solve refactors
+		// the private one from the matrix values. Failure cascades do not
+		// come here at all: they update their solution against the pristine
+		// factor with SolveEdge (see pdn.GridSystem).
+		a.edited = true
+		a.needRefactor = true
 		return
 	}
 	if a.direct {
@@ -612,20 +593,10 @@ func (c *Circuit) ResetResistors() {
 	copy(a.rhs, a.rhs0)
 	a.gen++
 	if a.sparseDirect {
-		a.pendingEdits = 0
-		if a.schol0 != nil {
-			// Pristine factor restored by memcpy — no refactorization.
-			a.schol.Restore(a.schol0) //nolint:errcheck // clone shares the structure
-			a.needRefactor = false
-		} else if err := c.ensureSparseFactor(); err != nil {
-			// Matrix values are pristine, so a factorization failure here
-			// means the sparse path cannot work at all; fall back to CG.
-			a.sparseDirect = false
-		} else {
-			// First trial reset: mat holds pristine values, so the factor
-			// just built is the pristine one — snapshot it for later resets.
-			a.schol0 = a.schol.CloneFactor()
-		}
+		// The pristine factor matches the restored values again; a private
+		// factor no longer does.
+		a.edited = false
+		a.needRefactor = a.private != nil
 		return
 	}
 	if a.direct {
@@ -741,7 +712,9 @@ func (c *Circuit) Clone() *Circuit {
 		direct:       a.direct,
 		sparseDirect: a.sparseDirect,
 		needRefactor: a.needRefactor,
-		pendingEdits: a.pendingEdits,
+		pristine:     a.pristine, // never modified: shared read-only
+		borrowed:     a.pristine != nil,
+		edited:       a.edited,
 	}
 	if a.rhs0 != nil {
 		// rhs0 is the one snapshot that can move after it is taken
@@ -753,12 +726,6 @@ func (c *Circuit) Clone() *Circuit {
 	}
 	if a.chol0 != nil {
 		b.chol0 = a.chol0.Clone()
-	}
-	if a.schol != nil {
-		b.schol = a.schol.CloneFactor()
-	}
-	if a.schol0 != nil {
-		b.schol0 = a.schol0.CloneFactor()
 	}
 	if a.direct {
 		b.w = make([]float64, c.nFree)
@@ -825,18 +792,15 @@ func (c *Circuit) SolveDCInto(dst, prev *OP) error {
 	// AMD-ordered factorization beats even a single cold CG solve, and its
 	// cost is amortized across every re-solve that follows.
 	if a.sparseDirect {
-		if a.schol == nil || a.needRefactor {
-			if err := c.ensureSparseFactor(); err != nil {
-				// The sparse factorization failed; fall back to CG permanently.
-				a.sparseDirect = false
-			}
-		}
-		if a.sparseDirect {
+		f, err := c.sparseFactor()
+		if err != nil {
+			// The sparse factorization failed; fall back to CG permanently.
+			a.sparseDirect = false
+		} else {
 			a.work.Reserve(n)
-			if err := a.schol.SolveInto(a.work.X, a.rhs); err != nil {
+			if err := f.SolveInto(a.work.X, a.rhs); err != nil {
 				return fmt.Errorf("spice: DC solve: %w", err)
 			}
-			a.pendingEdits = 0
 			c.met.sparseSolves.Inc()
 			c.scatter(dst, a.work.X)
 			return nil
@@ -932,35 +896,75 @@ func (c *Circuit) ensureFactor() error {
 	return nil
 }
 
-// ensureSparseFactor builds (or refactors, after a downdate breakdown) the
-// cached sparse factor from the current matrix values. The first build picks
-// the backend by size — scalar up-looking below supernodalMinNodes free
-// nodes, blocked supernodal above with nested-dissection ordering and the
-// process solver pool — and pays the ordering plus symbolic analysis;
-// refactorizations reuse the static structure and allocate nothing.
-func (c *Circuit) ensureSparseFactor() error {
+// sparseFactor returns the sparse factor that solves the current matrix
+// values: the pristine one while the values are the compiled ones and the
+// circuit owns it, the private one otherwise. The first call builds the
+// pristine factor, picking the backend by size — scalar up-looking below
+// supernodalMinNodes free nodes, blocked supernodal above with
+// nested-dissection ordering and the process solver pool — and pays the
+// ordering plus symbolic analysis. The private factor starts as a copy of
+// the pristine one; refactorizations reuse the static structure and
+// allocate nothing.
+func (c *Circuit) sparseFactor() (solver.SparseFactor, error) {
 	a := c.asm
+	if a.pristine != nil {
+		if !a.edited && !a.borrowed {
+			return a.pristine, nil
+		}
+		if a.private == nil {
+			a.private = a.pristine.CloneFactor()
+			a.needRefactor = a.edited
+		}
+		if !a.needRefactor {
+			return a.private, nil
+		}
+	}
 	done := trace.Default().Span("spice.sparse.factor")
 	defer done()
 	t0 := c.met.factorSeconds.Start()
-	if a.schol == nil {
-		var schol solver.SparseFactor
-		var err error
-		if c.nFree >= supernodalMinNodes {
-			schol, err = solver.NewSupernodalCholeskyFromCSR(a.mat, par.Shared(SolverWorkers()))
-		} else {
-			schol, err = solver.NewSparseCholeskyFromCSR(a.mat)
+	defer c.met.factorSeconds.ObserveSince(t0)
+	if a.pristine != nil {
+		if err := a.private.RefactorFromCSR(a.mat); err != nil {
+			return nil, err
 		}
-		if err != nil {
-			return err
-		}
-		a.schol = schol
-	} else if err := a.schol.RefactorFromCSR(a.mat); err != nil {
-		return err
+		c.met.refactors.Inc()
+		a.needRefactor = false
+		return a.private, nil
 	}
-	c.met.factorSeconds.ObserveSince(t0)
-	a.needRefactor = false
-	a.pendingEdits = 0
+	var f solver.SparseFactor
+	var err error
+	if c.nFree >= supernodalMinNodes {
+		f, err = solver.NewSupernodalCholeskyFromCSR(a.mat, par.Shared(SolverWorkers()))
+	} else {
+		f, err = solver.NewSparseCholeskyFromCSR(a.mat)
+	}
+	if err != nil {
+		return nil, err
+	}
+	a.pristine = f
+	return f, nil
+}
+
+// SolveEdge overwrites z (length NumFree) with A₀⁻¹·u, where A₀ is the
+// pristine free-node matrix and u = e_fa − e_fb is resistor i's edge vector
+// over the free nodes (a pad or ground terminal drops out) — the correction
+// vector of a Sherman–Morrison update that opens or rescales resistor i.
+// scratch is caller-owned, of length NumFree, all-zero on entry and left
+// all-zero. SolveEdge only reads the pristine factor, which clones share,
+// so clones may call it concurrently. It needs the sparse direct backend
+// after its first solve.
+func (c *Circuit) SolveEdge(z []float64, i int, scratch []float64) error {
+	if c.asm == nil || c.asm.pristine == nil {
+		return fmt.Errorf("spice: SolveEdge needs a solved circuit on the sparse direct backend (backend is %s)", c.SolverBackend())
+	}
+	if i < 0 || i >= len(c.res) {
+		return fmt.Errorf("spice: resistor index %d out of range", i)
+	}
+	r := c.res[i]
+	if err := c.asm.pristine.SolveEdgeInto(z, c.freeTerm(r.a), c.freeTerm(r.b), scratch); err != nil {
+		return fmt.Errorf("spice: edge solve: %w", err)
+	}
+	c.met.edgeSolves.Inc()
 	return nil
 }
 
@@ -997,9 +1001,9 @@ func (c *Circuit) NumFree() int { return c.nFree }
 
 // ResistorTerms returns the free equation indices of resistor i's terminals
 // (-1 when a terminal is a pad or ground) and the pinned voltage of each
-// non-free terminal (0 for ground or for a free terminal). Batch trial
-// preparation uses it to build the rank-one edit vector of a failure without
-// reaching into the compiled slot map.
+// non-free terminal (0 for ground or for a free terminal). Failure cascades
+// use it to build the rank-one edit of a failure without reaching into the
+// compiled slot map.
 func (c *Circuit) ResistorTerms(i int) (fa, fb int, va, vb float64) {
 	r := c.res[i]
 	fa, fb = c.freeTerm(r.a), c.freeTerm(r.b)
@@ -1030,29 +1034,6 @@ func (c *Circuit) ResistorNodes(i int) (a, b int) {
 	return r.a, r.b
 }
 
-// SolveFreeBatch solves the compiled free-node system for nrhs stacked
-// right-hand sides (vector v occupies b[v·n:(v+1)·n], likewise x) against the
-// current cached sparse factor, bit-identical to nrhs separate solves. It is
-// only available on the sparse direct path — the batched triangular sweeps
-// are how Monte-Carlo trial groups amortize factor traffic — and builds the
-// factor on first use like SolveDCInto would.
-func (c *Circuit) SolveFreeBatch(x, b []float64, nrhs int) error {
-	if c.asm == nil {
-		c.compile()
-	}
-	a := c.asm
-	if !a.sparseDirect {
-		return fmt.Errorf("spice: SolveFreeBatch needs the sparse direct path (backend is %s)", c.SolverBackend())
-	}
-	if a.schol == nil || a.needRefactor {
-		if err := c.ensureSparseFactor(); err != nil {
-			a.sparseDirect = false
-			return fmt.Errorf("spice: SolveFreeBatch factorization: %w", err)
-		}
-	}
-	return a.schol.SolveBatchInto(x, b, nrhs)
-}
-
 // ScatterFree expands a free-node solution x (length NumFree) into the
 // per-node voltages of op, exactly as an internal solve would. op is bound to
 // this circuit and its iterative-solver stats are cleared: the caller is
@@ -1074,7 +1055,7 @@ func (c *Circuit) ScatterFree(op *OP, x []float64) error {
 }
 
 // GatherFree collects the free-node voltages of op into x (length NumFree) —
-// the inverse of ScatterFree, used to seed batch preparation with the cached
+// the inverse of ScatterFree, used to seed failure cascades with the cached
 // pristine solution instead of re-solving for it.
 func (c *Circuit) GatherFree(x []float64, op *OP) error {
 	if op == nil || op.c != c {
@@ -1089,6 +1070,42 @@ func (c *Circuit) GatherFree(x []float64, op *OP) error {
 		}
 	}
 	return nil
+}
+
+// Residual returns the relative KCL residual ‖A·x − b‖₂/‖b‖₂ of op's node
+// voltages against the circuit's compiled free-node system in its current
+// state (resistor edits included; the circuit must have been solved once):
+// one SpMV, the accuracy check of an
+// operating point that does not trust the solver that produced it. op may
+// come from any circuit compiled from the same netlist, such as one that
+// reached the same edits along another path.
+func (c *Circuit) Residual(op *OP) (float64, error) {
+	if op == nil || len(op.volts) != len(c.names) {
+		return 0, fmt.Errorf("spice: Residual needs an operating point over this circuit's %d nodes", len(c.names))
+	}
+	if c.nFree == 0 {
+		return 0, nil
+	}
+	if c.asm == nil {
+		return 0, fmt.Errorf("spice: Residual needs a solved circuit")
+	}
+	x := make([]float64, c.nFree)
+	for i := range c.names {
+		if fi := c.freeIdx[i]; fi >= 0 {
+			x[fi] = op.volts[i]
+		}
+	}
+	ax := c.asm.mat.MulVec(x)
+	var num, den float64
+	for i, b := range c.asm.rhs {
+		d := ax[i] - b
+		num += d * d
+		den += b * b
+	}
+	if den == 0 {
+		return math.Sqrt(num), nil
+	}
+	return math.Sqrt(num / den), nil
 }
 
 // CloneFor returns a copy of the operating point bound to clone, which must

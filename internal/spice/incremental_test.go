@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -144,10 +145,10 @@ func TestIncrementalMatchesColdCG(t *testing.T) {
 	})
 }
 
-// TestIncrementalMatchesColdSparse pins the sparse up/downdate path against
-// cold refactorization: the incremental circuit chases 20 failures with
-// rank-one downdates of its AMD-ordered factor while the reference refactors
-// from scratch at each milestone.
+// TestIncrementalMatchesColdSparse pins the sparse edit path against a cold
+// compile: the incremental circuit refactors its private factor after each
+// of 20 failures while the reference compiles the failed netlist from
+// scratch at each milestone.
 func TestIncrementalMatchesColdSparse(t *testing.T) {
 	crossCheckIncremental(t, func(c *Circuit) {
 		c.Solver = SolverSparse
@@ -238,6 +239,83 @@ func TestCloneBitIdenticalSparse(t *testing.T) {
 	}
 }
 
+// TestClonesShareSparseFactorConcurrently runs clones of one sparse master
+// on separate goroutines — pristine solve, edge solve, failure and re-solve
+// — and requires the master's bits from each. The clones share the
+// pristine factor, so under -race this shows they only ever read it.
+func TestClonesShareSparseFactorConcurrently(t *testing.T) {
+	nl := meshNetlist(t, 10)
+	master, err := Compile(nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	master.Solver = SolverSparse
+	_, want0 := solveAll(t, master, nil)
+	clones := make([]*Circuit, 4)
+	for i := range clones {
+		clones[i] = master.Clone()
+	}
+	ri := meshFailures(t, 10)[0]
+	n := master.NumFree()
+	wantZ := make([]float64, n)
+	if err := master.SolveEdge(wantZ, ri, make([]float64, n)); err != nil {
+		t.Fatal(err)
+	}
+	if err := master.DisableResistor(ri); err != nil {
+		t.Fatal(err)
+	}
+	_, want1 := solveAll(t, master, nil)
+
+	same := func(a, b []float64) bool {
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, len(clones))
+	for i, c := range clones {
+		wg.Add(1)
+		go func(i int, c *Circuit) {
+			defer wg.Done()
+			op, err := c.SolveDC(nil)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			z := make([]float64, n)
+			if err := c.SolveEdge(z, ri, make([]float64, n)); err != nil {
+				errs[i] = err
+				return
+			}
+			if err := c.DisableResistor(ri); err != nil {
+				errs[i] = err
+				return
+			}
+			op1, err := c.SolveDC(nil)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			v0, v1 := make([]float64, len(want0)), make([]float64, len(want1))
+			for k := range v0 {
+				v0[k], v1[k] = op.VoltageAt(k), op1.VoltageAt(k)
+			}
+			if !same(v0, want0) || !same(z, wantZ) || !same(v1, want1) {
+				errs[i] = fmt.Errorf("clone %d: results differ from the master's", i)
+			}
+		}(i, c)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestSetCurrentMatchesRecompile checks the load-push path used by the tuner:
 // editing a current source in place must match a fresh compile of the edited
 // netlist, and the edit must survive ResetResistors (it is a load change, not
@@ -282,10 +360,11 @@ func TestSetCurrentMatchesRecompile(t *testing.T) {
 	}
 }
 
-// TestSparseUpdateBudgetRefactors pushes more edits between solves than the
-// up/downdate budget allows and checks the deferred refactorization still
-// lands on the cold-compile answer.
-func TestSparseUpdateBudgetRefactors(t *testing.T) {
+// TestSparseBulkEditRefactors rescales every resistor between two solves and
+// checks the refactorization of the private factor lands on the
+// cold-compile answer, while the pristine factor behind SolveEdge stays
+// untouched.
+func TestSparseBulkEditRefactors(t *testing.T) {
 	nl := meshNetlist(t, 10)
 	c, err := Compile(nl)
 	if err != nil {
@@ -293,13 +372,42 @@ func TestSparseUpdateBudgetRefactors(t *testing.T) {
 	}
 	c.Solver = SolverSparse
 	solveAll(t, c, nil)
-	// Rescale every resistor: far more edits than sparseUpdateBudget.
+	// Rescale every resistor: a bulk edit between two solves.
 	for i := range nl.Resistors {
 		if err := c.SetResistor(i, nl.Resistors[i].Ohms*1.31); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_, vGot := solveAll(t, c, nil)
+	opGot, vGot := solveAll(t, c, nil)
+	if r, err := c.Residual(opGot); err != nil || r > 1e-12 {
+		t.Fatalf("bulk-edited solve residual %g (%v)", r, err)
+	}
+	// The edge solve still runs against the compiled values: A₀·z = e_a − e_b.
+	n := c.NumFree()
+	z, scratch := make([]float64, n), make([]float64, n)
+	if err := c.SolveEdge(z, 0, scratch); err != nil {
+		t.Fatal(err)
+	}
+	pristine, err := Compile(nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pristine.Solver = SolverSparse
+	solveAll(t, pristine, nil)
+	az := pristine.asm.mat.MulVec(z)
+	fa, fb, _, _ := c.ResistorTerms(0)
+	for i, v := range az {
+		want := 0.0
+		switch i {
+		case fa:
+			want = 1
+		case fb:
+			want = -1
+		}
+		if math.Abs(v-want) > 1e-9 {
+			t.Fatalf("edge solve after bulk edit: (A₀·z)[%d] = %g, want %g", i, v, want)
+		}
+	}
 
 	edited := *nl
 	edited.Resistors = append([]Resistor(nil), nl.Resistors...)
@@ -316,6 +424,61 @@ func TestSparseUpdateBudgetRefactors(t *testing.T) {
 		if d := math.Abs(vGot[i]-vWant[i]) / (1 + math.Abs(vWant[i])); d > 1e-10 {
 			t.Fatalf("node %d: bulk-edited %g vs recompiled %g (rel %g)", i, vGot[i], vWant[i], d)
 		}
+	}
+}
+
+// TestResidualFlagsPerturbation checks the KCL residual helper: a direct
+// solve sits at rounding level, a 1 mV error at one node does not, and the
+// residual of the pristine point against an edited circuit exposes the edit.
+func TestResidualFlagsPerturbation(t *testing.T) {
+	nl := meshNetlist(t, 10)
+	c, err := Compile(nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Solver = SolverSparse
+	op, _ := solveAll(t, c, nil)
+	r0, err := c.Residual(op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r0 > 1e-12 {
+		t.Fatalf("direct solve residual %g, want ≤ 1e-12", r0)
+	}
+	bad := op.CloneFor(c)
+	for i := 0; i < c.NumNodes(); i++ {
+		if !c.IsPad(i) {
+			bad.volts[i] -= 1e-3
+			break
+		}
+	}
+	if r, _ := c.Residual(bad); r < 1e-6 {
+		t.Fatalf("perturbed point residual %g, want ≥ 1e-6", r)
+	}
+	edited, err := Compile(nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited.Solver = SolverSparse
+	solveAll(t, edited, nil)
+	if err := edited.DisableResistor(meshFailures(t, 10)[0]); err != nil {
+		t.Fatal(err)
+	}
+	if r, _ := edited.Residual(op); r < 1e-6 {
+		t.Fatalf("pristine point against the edited circuit: residual %g, want ≥ 1e-6", r)
+	}
+	if _, err := c.Residual(&OP{}); err == nil {
+		t.Fatal("Residual accepted an operating point of the wrong size")
+	}
+	dense, err := Compile(nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense.Solver = SolverDense
+	solveAll(t, dense, nil)
+	n := dense.NumFree()
+	if err := dense.SolveEdge(make([]float64, n), 0, make([]float64, n)); err == nil {
+		t.Fatal("SolveEdge ran without a sparse pristine factor")
 	}
 }
 

@@ -13,6 +13,8 @@ type circuitMetrics struct {
 	sparseSolves  *telemetry.Counter
 	cgSolves      *telemetry.Counter
 	refreshes     *telemetry.Counter
+	edgeSolves    *telemetry.Counter
+	refactors     *telemetry.Counter
 	factorSeconds *telemetry.Histogram
 }
 
@@ -28,6 +30,8 @@ func newCircuitMetrics() circuitMetrics {
 		sparseSolves:  r.Counter(telemetry.SpiceSparseSolves),
 		cgSolves:      r.Counter(telemetry.SpiceCGSolves),
 		refreshes:     r.Counter(telemetry.SpicePrecondRefreshes),
+		edgeSolves:    r.Counter(telemetry.SpiceCascadeEdgeSolves),
+		refactors:     r.Counter(telemetry.SpiceCascadeRefactors),
 		factorSeconds: r.Histogram(telemetry.SpiceFactorSeconds),
 	}
 }

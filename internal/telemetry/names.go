@@ -18,8 +18,6 @@ const (
 
 	// internal/solver — sparse Cholesky (the large-grid direct path).
 	SparseFactorizations = "solver.sparse.factorizations"
-	SparseUpdates        = "solver.sparse.updates"
-	SparseDowndates      = "solver.sparse.downdates"
 	SparseSolves         = "solver.sparse.solves"
 
 	// internal/spice — the incremental re-solve engine.
@@ -31,6 +29,13 @@ const (
 	SpiceCGSolves         = "spice.solves.cg"
 	SpicePrecondRefreshes = "spice.precond.refreshes"
 	SpiceFactorSeconds    = "spice.sparse.factor_seconds"
+	// Factor-once failure cascades on the sparse backend: EdgeSolves counts
+	// the correction solves against the shared pristine factor (one per
+	// Sherman–Morrison update); Refactors counts refactorizations of an
+	// edited matrix, which a cascade only pays on its near-islanding
+	// fallback.
+	SpiceCascadeEdgeSolves = "spice.cascade.edge_solves"
+	SpiceCascadeRefactors  = "spice.cascade.refactors"
 
 	// internal/mc — the sequential-failure Monte-Carlo engine.
 	MCTrials           = "mc.trials"
