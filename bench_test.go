@@ -417,7 +417,7 @@ func BenchmarkAblationAging(b *testing.B) {
 // sizes, the inner loop of the grid Monte Carlo.
 func BenchmarkGridSolve(b *testing.B) {
 	// nx200 and nx400 (80k and 320k unknowns) cross the supernodal
-	// threshold, so the auto backend exercises the blocked factorization;
+	// threshold, so the circuit solves use the blocked factorization;
 	// bench_snapshot.sh runs them at a reduced -benchtime.
 	for _, nx := range []int{10, 20, 40, 80, 200, 400} {
 		b.Run(sizeName(nx), func(b *testing.B) {

@@ -54,7 +54,6 @@ import (
 
 	"emvia/internal/monitor"
 	"emvia/internal/serve"
-	"emvia/internal/spice"
 	"emvia/internal/trace"
 )
 
@@ -76,7 +75,6 @@ func run() error {
 	ledgerPath := flag.String("ledger", "", "append one JSONL record per terminal job here (empty = <resultdir>/ledger.jsonl when -resultdir is set; \"-\" disables)")
 	ringSize := flag.Int("ring", 1024, "trace ring capacity (live progress and SSE window)")
 	drainTimeout := flag.Duration("drain-timeout", 60*time.Second, "bound on graceful drain at shutdown")
-	solverFlag := flag.String("solver", "", "linear solver backend: auto, cg, direct, sparse (empty = auto)")
 	shards := flag.Int("shards", 0, "split each Monte-Carlo job into this many trial-range shards (0/1 = no sharding); merged manifests are byte-identical to single-process runs")
 	workers := flag.String("workers", "", "comma-separated worker emserve addresses (host:port or URLs) to dispatch shards to; empty with -shards > 1 runs shards in a local executor pool")
 	shardSlots := flag.Int("shard-slots", 2, "concurrently executing inbound shard requests (the worker side of dispatch)")
@@ -84,14 +82,6 @@ func run() error {
 	shardAttempts := flag.Int("shard-attempts", 3, "dispatch attempts per shard including the final always-local run")
 	advertise := flag.String("advertise", "", "this coordinator's externally reachable base URL; workers replicate partial manifests through it (empty = no cache replication)")
 	flag.Parse()
-
-	if *solverFlag != "" {
-		mode, err := spice.ParseSolverMode(*solverFlag)
-		if err != nil {
-			return err
-		}
-		spice.SetDefaultSolver(mode)
-	}
 
 	// Install the trace ring before NewServer so the server adopts it; the
 	// same ring feeds job progress, SSE streams and the monitor /status.

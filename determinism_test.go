@@ -17,7 +17,6 @@ import (
 	"emvia/internal/mc"
 	"emvia/internal/pdn"
 	"emvia/internal/phys"
-	"emvia/internal/spice"
 	"emvia/internal/stat"
 	"emvia/internal/viaarray"
 )
@@ -150,9 +149,6 @@ func TestDeterminismMatrixGridMCSparse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid Monte Carlo is slow under -short")
 	}
-	spice.SetDefaultSolver(spice.SolverSparse)
-	defer spice.SetDefaultSolver(spice.SolverDefault)
-
 	spec := pdn.PG1Spec()
 	spec.NX, spec.NY = 6, 6
 	spec.PadPeriod = 3

@@ -26,9 +26,6 @@ type Config struct {
 	Trace     trace.CLIConfig
 	// HTTPAddr serves /status, /debug/vars and /debug/pprof when non-empty.
 	HTTPAddr string
-	// Solver selects the process-wide linear-solver backend
-	// (auto|dense|sparse|cg); empty keeps the built-in auto policy.
-	Solver string
 	// SolverWorkers bounds the supernodal factorization worker pool;
 	// 0 = one worker per CPU, 1 = serial. Results are identical either way.
 	SolverWorkers int
@@ -45,7 +42,6 @@ func (c *Config) RegisterFlags(fs *flag.FlagSet) {
 	fs.BoolVar(&c.Telemetry.Progress, "progress", false, "print periodic progress lines to stderr during long Monte-Carlo runs")
 	c.Trace.RegisterFlags(fs)
 	fs.StringVar(&c.HTTPAddr, "http", "", "serve the live monitor (/status, /debug/vars, /debug/pprof) on `addr`")
-	fs.StringVar(&c.Solver, "solver", "auto", "linear-solver backend: auto (dense below a size cutoff, sparse Cholesky above), dense, sparse, or cg")
 	fs.IntVar(&c.SolverWorkers, "solver-workers", 0, "worker goroutines of the parallel supernodal factorization (0 = one per CPU, 1 = serial; results are bit-identical)")
 	fs.StringVar(&c.Engine, "engine", "mc", "analysis engine: mc (full Monte Carlo), steady (linear-time steady-state screen only), or both (the screen prunes the Monte Carlo to the mortal subset)")
 }
@@ -64,11 +60,6 @@ const monitorRingSize = 256
 // captured into the manifest (nil skips flag capture); command names the
 // binary in the manifest.
 func Setup(c Config, command string, fs *flag.FlagSet) (finish func() error, err error) {
-	mode, err := spice.ParseSolverMode(c.Solver)
-	if err != nil {
-		return nil, fmt.Errorf("-solver: %w", err)
-	}
-	spice.SetDefaultSolver(mode)
 	if c.SolverWorkers < 0 {
 		return nil, fmt.Errorf("-solver-workers: must be ≥ 0, got %d", c.SolverWorkers)
 	}
@@ -84,7 +75,6 @@ func Setup(c Config, command string, fs *flag.FlagSet) (finish func() error, err
 	}
 	m.MaterialHash = core.MaterialHash()
 	m.StressCacheKeyVersion = core.StressCacheKeyVersion()
-	m.Solver = spice.DefaultSolver().String()
 	m.Engine = engine
 	if p := c.Telemetry.MetricsJSON; p != "" && p != "-" {
 		m.Artifacts = append(m.Artifacts, p)
@@ -149,11 +139,6 @@ func RecordFlags(fs *flag.FlagSet) {
 	}
 	if v, err := strconv.Atoi(m.Config["j"]); err == nil {
 		m.Workers = v
-	}
-	if v := m.Config["solver"]; v != "" {
-		if mode, err := spice.ParseSolverMode(v); err == nil {
-			m.Solver = mode.String()
-		}
 	}
 	if v := m.Config["engine"]; v != "" {
 		if engine, err := mc.ParseEngine(v); err == nil {

@@ -120,12 +120,10 @@ type Options struct {
 	// TraceLabel names this run in structured traces (see internal/trace);
 	// empty selects "mc".
 	TraceLabel string
-	// Solver records the linear-solver backend the run's systems use
-	// ("auto", "dense", "sparse" or "cg"; empty = unspecified). The engine
-	// itself never interprets it — the backend is a property of the System
-	// factory — but it is validated here and carried into the run-provenance
-	// manifest, so results stay attributable to a backend when the default
-	// changes.
+	// Solver records the circuit factor the run's systems use ("sparse" or
+	// "supernodal"; empty = unspecified). The engine itself never interprets
+	// it — the factor is a property of the System factory — but it is
+	// validated here and echoed in the Result, which the run ledger records.
 	Solver string
 	// Engine records the analysis backend that configured the run ("mc",
 	// "both"; empty = unspecified). Like Solver it is provenance, not
@@ -155,9 +153,9 @@ func (o Options) Validate() error {
 		return fmt.Errorf("mc: FirstTrial must be ≥ 0, got %d", o.FirstTrial)
 	}
 	switch o.Solver {
-	case "", "default", "auto", "dense", "sparse", "cg":
+	case "", "sparse", "supernodal":
 	default:
-		return fmt.Errorf("mc: unknown solver backend %q (want auto, dense, sparse or cg)", o.Solver)
+		return fmt.Errorf("mc: unknown solver backend %q (want sparse or supernodal)", o.Solver)
 	}
 	switch o.Engine {
 	case "", EngineMC, EngineBoth:

@@ -3,34 +3,43 @@ package pdn
 import (
 	"math/rand"
 	"testing"
-
-	"emvia/internal/spice"
 )
 
 // TestTrialLoopZeroAlloc pins the allocation budget of the Monte-Carlo hot
-// path: once a GridSystem has run one warm-up trial (building the cached
-// factor and scratch state), BeginTrial → Fail → Failed cycles must not
-// touch the heap — on the dense backend's downdate path and on the sparse
-// backend's factor-once cascade.
+// path: once a GridSystem has run one warm-up trial (building the per-trial
+// buffers and, for IR drop, the cascade's update vectors), BeginTrial → Fail
+// → Failed cycles must not touch the heap. "default" leaves the criterion at
+// its zero value (weakest link, no circuit re-solve); "sparse" runs the IR-drop
+// criterion's factor-once cascade on the scalar sparse factor.
 func TestTrialLoopZeroAlloc(t *testing.T) {
-	for _, mode := range []spice.SolverMode{spice.SolverDefault, spice.SolverSparse} {
-		t.Run(mode.String(), func(t *testing.T) {
-			prev := spice.DefaultSolver()
-			spice.SetDefaultSolver(mode)
-			defer spice.SetDefaultSolver(prev)
-			g := mustGrid(t, smallSpec(), 0.05)
-			cfg := TTFConfig{
+	for _, tc := range []struct {
+		name string
+		cfg  func(t *testing.T, g *Grid) TTFConfig
+	}{
+		{"default", func(t *testing.T, g *Grid) TTFConfig {
+			return TTFConfig{Grid: g, Models: testModels(refCurrentOf(t, g))}
+		}},
+		{"sparse", func(t *testing.T, g *Grid) TTFConfig {
+			return TTFConfig{
 				Grid:       g,
 				Models:     testModels(refCurrentOf(t, g)),
 				Criterion:  IRDrop,
 				IRDropFrac: 0.10,
 			}
-			s, err := NewSystem(cfg)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := NewSystem(tc.cfg(t, mustGrid(t, smallSpec(), 0.05)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if (s.cascade != nil) != (mode == spice.SolverSparse) {
-				t.Fatalf("backend %s: cascade %v", s.circuit.SolverBackend(), s.cascade != nil)
+			if s.cfg.Criterion == IRDrop {
+				if s.cascade == nil {
+					t.Fatalf("no cascade on an IR-drop system (backend %s)", s.circuit.SolverBackend())
+				}
+				if got := s.circuit.SolverBackend(); got != tc.name {
+					t.Fatalf("SolverBackend() = %q, want %q", got, tc.name)
+				}
 			}
 			rng := rand.New(rand.NewSource(99))
 			trial := func() error {
@@ -47,10 +56,7 @@ func TestTrialLoopZeroAlloc(t *testing.T) {
 				}
 				return nil
 			}
-			// Warm-up trial: lazily builds the pristine dense factor and its
-			// snapshot, or the cascade's update vectors, and the per-trial
-			// buffers.
-			if err := trial(); err != nil {
+			if err := trial(); err != nil { // warm-up
 				t.Fatal(err)
 			}
 			var trialErr error

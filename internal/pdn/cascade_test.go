@@ -36,15 +36,15 @@ func islandGrid(t *testing.T, nx int) (*Grid, int) {
 // cascades: after every failure of an IR-drop cascade the operating point
 // must agree with a fresh factor-and-solve of the edited matrix, and its
 // KCL residual against that matrix must stay at 1e-10. It runs on the
-// scalar sparse backend (fewer than 2048 free nodes) and the supernodal one,
-// with failures at pad vias (a pinned terminal moves the right-hand side)
+// scalar sparse backend (fewer than 2048 free nodes), at the paper's grid
+// size and above, and on the supernodal one, with failures at pad vias (a pinned terminal moves the right-hand side)
 // and one failure that islands a load, which must take the
 // refactor-and-solve fallback.
 func TestCascadeMatchesFreshSolve(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		nx   int
-	}{{"scalar", 16}, {"supernodal", 34}} {
+	}{{"paper", 8}, {"scalar", 16}, {"supernodal", 34}} {
 		t.Run(tc.name, func(t *testing.T) {
 			g, island := islandGrid(t, tc.nx)
 			s, err := NewSystem(TTFConfig{Grid: g, Models: testModels(refCurrentOf(t, g)), Criterion: IRDrop, IRDropFrac: 0.10})
@@ -60,7 +60,7 @@ func TestCascadeMatchesFreshSolve(t *testing.T) {
 			// Interior and edge arrays, two of them under pads (index
 			// iy·nx+ix with ix, iy ≡ 1 mod 3), then the island, then one more.
 			nx := tc.nx
-			order := []int{nx + 1, 5*nx + 7, 4*nx + 4, 2*nx + 9, 7*nx + 1, nx*nx - 2, 3*nx + 12, island, 6*nx + 6}
+			order := []int{nx + 1, 5*nx + 7, 4*nx + 4, 2*nx + min(9, nx-1), 7*nx + 1, nx*nx - 2, 3*nx + min(12, nx-1), island, 6*nx + 6}
 			if err := s.BeginTrial(randNew(1)); err != nil {
 				t.Fatal(err)
 			}
@@ -136,7 +136,7 @@ func TestCascadeWorkerBitIdentity(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		nx   int
-	}{{"scalar", 16}, {"supernodal", 34}} {
+	}{{"paper", 8}, {"scalar", 16}, {"supernodal", 34}} {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := PG1Spec()
 			spec.NX, spec.NY = tc.nx, tc.nx
@@ -157,8 +157,12 @@ func TestCascadeWorkerBitIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if res.Solver != "sparse" {
-					t.Fatalf("ran on the %s backend, want sparse", res.Solver)
+				want := "sparse"
+				if tc.name == "supernodal" {
+					want = "supernodal"
+				}
+				if res.Solver != want {
+					t.Fatalf("ran on the %s backend, want %s", res.Solver, want)
 				}
 				// Every failure is one update on the shared factor; none of
 				// these cascades islands a node, so nothing refactors.
@@ -193,6 +197,48 @@ func TestCascadeWorkerBitIdentity(t *testing.T) {
 						}
 					}
 				}
+			}
+		})
+	}
+}
+
+// TestPristineResidual guards the operating point every analysis starts
+// from: the KCL residual of NewSystem's pristine solve must sit at rounding
+// level on the grid sizes the paper figures run (PG1 at nx8 and nx10) and
+// on the full PG1, PG2 and PG5 analogues, which cover both the scalar and
+// the supernodal factor.
+func TestPristineResidual(t *testing.T) {
+	withNX := func(spec GridSpec, nx int) GridSpec {
+		spec.NX, spec.NY = nx, nx
+		return spec
+	}
+	for _, tc := range []struct {
+		name string
+		spec GridSpec
+	}{
+		{"PG1_nx8", withNX(PG1Spec(), 8)},
+		{"PG1_nx10", withNX(PG1Spec(), 10)},
+		{"PG1", PG1Spec()},
+		{"PG2", PG2Spec()},
+		{"PG5", PG5Spec()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := mustGrid(t, tc.spec, 0)
+			const refViaAmps = 0.02
+			if err := g.Tune(0.065, refViaAmps); err != nil {
+				t.Fatal(err)
+			}
+			s, err := NewSystem(TTFConfig{Grid: g, Models: testModels(refViaAmps), Criterion: IRDrop, IRDropFrac: 0.10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.circuit.Residual(s.op0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%d free nodes (%s): pristine residual %.2e", s.circuit.NumFree(), s.circuit.SolverBackend(), res)
+			if res > 1e-12 {
+				t.Errorf("pristine KCL residual %g, want ≤ 1e-12", res)
 			}
 		})
 	}

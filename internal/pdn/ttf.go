@@ -118,9 +118,8 @@ type GridSystem struct {
 	opA, opB *spice.OP
 
 	// cascade runs IR-drop failures as Sherman–Morrison updates against the
-	// pristine sparse factor (see cascade). Nil on the dense and CG
-	// backends, which edit and re-solve the circuit, and under the
-	// weakest-link criterion, which never re-solves.
+	// pristine sparse factor (see cascade). Nil under the weakest-link
+	// criterion, which never re-solves.
 	cascade *cascade
 
 	// candidates is the steady screen's mortal mask (mc.CandidateMasker);
@@ -133,9 +132,9 @@ type GridSystem struct {
 	sub        *rand.Rand
 
 	// circuitDirty records that a trial edited the compiled circuit (opened
-	// a via), so the next BeginTrial must restore the pristine matrix and
-	// factor. Weakest-link trials and factor-once cascades never edit the
-	// circuit; only the dense and CG backends and a cascade's fallback do.
+	// a via), so the next BeginTrial must restore the pristine matrix.
+	// Weakest-link trials and factor-once cascades never edit the circuit;
+	// only a cascade's refactor-and-solve fallback does.
 	circuitDirty bool
 }
 
@@ -173,12 +172,12 @@ func NewSystemCtx(ctx context.Context, cfg TTFConfig) (*GridSystem, error) {
 		}
 	}
 	s := &GridSystem{cfg: cfg, circuit: circuit, op0: op}
-	// Put the solver into its canonical post-reset state (slots compiled,
-	// dense pristine factor snapshot taken) once up front, so trials on a
-	// fresh system and on a Clone start from bit-identical solver state
-	// whether or not BeginTrial's dirty gate runs another restore in between.
+	// Put the circuit into its canonical post-reset state (slots compiled,
+	// pristine snapshots taken) once up front, so trials on a fresh system
+	// and on a Clone start from identical circuit state whether or not
+	// BeginTrial's dirty gate runs another restore in between.
 	circuit.ResetResistors()
-	if cfg.Criterion == IRDrop && circuit.SolverBackend() == spice.SolverSparse.String() {
+	if cfg.Criterion == IRDrop {
 		if s.cascade, err = newCascade(circuit, op); err != nil {
 			return nil, err
 		}
@@ -302,9 +301,9 @@ func (s *GridSystem) BeginTrial(rng *rand.Rand) error {
 		s.baseTTF = make([]float64, n)
 		s.iNow = make([]float64, n)
 	}
-	// Restore the vias opened by the previous trial and put the solver into
-	// its canonical pristine state (matrix values, factor, preconditioner),
-	// so trial outcomes do not depend on which trials ran before on this
+	// Restore the vias opened by the previous trial and put the circuit into
+	// its canonical pristine state (matrix values and right-hand side), so
+	// trial outcomes do not depend on which trials ran before on this
 	// system instance. A clean circuit (weakest-link trials, cascades that
 	// stayed on the update path, or a fresh system) skips the restore.
 	if s.circuitDirty {
@@ -409,13 +408,13 @@ func (s *GridSystem) Fail(k int) error {
 	return nil
 }
 
-// redistribute solves the grid with via array k open into dst. A cascade
+// redistribute solves the grid with via array k open into dst. The cascade
 // updates its solution against the pristine factor; when the update is
-// ill-conditioned, or on the dense and CG backends, the failed arrays are
-// opened in the circuit and it is re-solved.
+// ill-conditioned, the failed arrays are opened in the circuit and it is
+// refactored and re-solved.
 func (s *GridSystem) redistribute(k int, dst *spice.OP) error {
 	ri := s.cfg.Grid.Vias[k].ResistorIndex
-	if s.cascade != nil && !s.cascade.fallback {
+	if !s.cascade.fallback {
 		ok, err := s.cascade.open(s.circuit, ri)
 		if err != nil {
 			return fmt.Errorf("pdn: cascade update after failing array %d: %w", k, err)
@@ -438,7 +437,7 @@ func (s *GridSystem) redistribute(k int, dst *spice.OP) error {
 		return err
 	}
 	s.circuitDirty = true
-	if err := s.circuit.SolveDCInto(dst, s.opNow); err != nil {
+	if err := s.circuit.SolveDCInto(dst); err != nil {
 		return fmt.Errorf("pdn: re-solve after failing array %d: %w", k, err)
 	}
 	return nil

@@ -23,10 +23,10 @@ type LedgerRecord struct {
 	ID          string `json:"id"`
 	ContentHash string `json:"content_hash"`
 	Engine      string `json:"engine"`
-	// Backend is the circuit-solver backend the Monte Carlo actually ran on
-	// ("dense", "sparse" or "cg"), unlike the manifest's solver field, which
-	// records the requested mode. Empty when unknown: dedup answers,
-	// steady-only jobs, sharded merges and failed runs.
+	// Backend is the sparse factor the Monte Carlo's circuit solves ran on:
+	// "sparse" (scalar, below 2048 free nodes) or "supernodal". Empty when
+	// unknown: dedup answers, steady-only jobs, sharded merges and failed
+	// runs.
 	Backend string `json:"backend,omitempty"`
 	// Outcome is the terminal state: done, failed or deadline_exceeded.
 	Outcome string `json:"outcome"`

@@ -31,8 +31,6 @@ type ResultManifest struct {
 	MaterialHash string `json:"material_hash"`
 	// Engine is the resolved analysis backend (mc, steady, both).
 	Engine string `json:"engine"`
-	// Solver is the linear-solver backend the run used.
-	Solver string `json:"solver,omitempty"`
 	// Spec is the resolved job spec (defaults applied).
 	Spec *JobSpec `json:"spec"`
 	// Screen summarizes the steady-state classification (engines steady and
@@ -88,7 +86,6 @@ func buildManifest(hash string, resolved *JobSpec, out *runOutput) (*ResultManif
 		ContentHash:   hash,
 		MaterialHash:  out.materialHash,
 		Engine:        resolved.Engine,
-		Solver:        out.solver,
 		Spec:          resolved,
 		Screen:        out.screen,
 	}
@@ -133,10 +130,8 @@ func (m *ResultManifest) Encode() ([]byte, error) {
 type runOutput struct {
 	screen       *trace.ScreenInfo
 	mcResult     *mc.Result
-	solver       string
 	materialHash string
 	// backend is the circuit backend the run actually used. It feeds the
-	// ledger only: manifests keep the requested mode (solver), so their
-	// bytes do not depend on which backend a host resolved.
+	// ledger only, so manifest bytes do not depend on it.
 	backend string
 }

@@ -33,7 +33,6 @@ type PartialManifest struct {
 	ContentHash   string `json:"content_hash"`
 	MaterialHash  string `json:"material_hash"`
 	Engine        string `json:"engine"`
-	Solver        string `json:"solver,omitempty"`
 	TrialStart    int    `json:"trial_start"`
 	TrialCount    int    `json:"trial_count"`
 	// TTFSeconds lists the shard's per-trial system TTFs in trial order,
@@ -58,7 +57,6 @@ func buildPartial(hash string, spec *JobSpec, start int, out *runOutput) *Partia
 		ContentHash:   hash,
 		MaterialHash:  out.materialHash,
 		Engine:        spec.Engine,
-		Solver:        out.solver,
 		TrialStart:    start,
 		Screen:        out.screen,
 	}
@@ -145,7 +143,7 @@ func checkPartial(p *PartialManifest, hash string, resolved *JobSpec) error {
 
 // mergePartials reconstructs the full-run output from shard partials. The
 // merge is strict: every partial must answer the same (hash, material,
-// engine, solver) question, agree on the steady screen, and the trial
+// engine) question, agree on the steady screen, and the trial
 // ranges must tile [0, trials) exactly — an overlap, gap, duplicate or
 // corrupt entry is an error, never a silent drop. A successful merge is
 // bit-identical to a single-process run: TTF floats round-trip exactly
@@ -169,9 +167,6 @@ func mergePartials(hash string, resolved *JobSpec, parts []*PartialManifest) (*r
 		if p.MaterialHash != ref.MaterialHash {
 			return nil, fmt.Errorf("serve: partial manifests disagree on material hash (%.12s vs %.12s)",
 				p.MaterialHash, ref.MaterialHash)
-		}
-		if p.Solver != ref.Solver {
-			return nil, fmt.Errorf("serve: partial manifests disagree on solver (%q vs %q)", p.Solver, ref.Solver)
 		}
 		if (p.Screen == nil) != (ref.Screen == nil) || (p.Screen != nil && *p.Screen != *ref.Screen) {
 			return nil, fmt.Errorf("serve: partial manifests disagree on the steady screen")
@@ -213,7 +208,6 @@ func mergePartials(hash string, resolved *JobSpec, parts []*PartialManifest) (*r
 	return &runOutput{
 		mcResult:     &mc.Result{TTF: ttf},
 		screen:       ref.Screen,
-		solver:       ref.Solver,
 		materialHash: ref.MaterialHash,
 	}, nil
 }

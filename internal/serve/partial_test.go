@@ -52,7 +52,6 @@ func partialFor(hash string, spec *JobSpec, start, count int) *PartialManifest {
 		ContentHash:   hash,
 		MaterialHash:  "mat",
 		Engine:        spec.Engine,
-		Solver:        "direct",
 		TrialStart:    start,
 		TrialCount:    count,
 		TTFSeconds:    ttf,
@@ -95,8 +94,8 @@ func TestMergePartialsRoundTrip(t *testing.T) {
 				t.Errorf("bounds %v: trial %d = %g, want %g", bounds, i, v, float64(i+1)*1e7)
 			}
 		}
-		if out.materialHash != "mat" || out.solver != "direct" {
-			t.Errorf("bounds %v: provenance %q/%q not carried through", bounds, out.materialHash, out.solver)
+		if out.materialHash != "mat" {
+			t.Errorf("bounds %v: material hash %q not carried through", bounds, out.materialHash)
 		}
 	}
 }
@@ -150,10 +149,6 @@ func TestMergePartialsRejects(t *testing.T) {
 			p[1].MaterialHash = "other"
 			return p
 		}, "material hash"},
-		{"solver skew", func(p []*PartialManifest) []*PartialManifest {
-			p[1].Solver = "cg"
-			return p
-		}, "solver"},
 		{"negative start", func(p []*PartialManifest) []*PartialManifest {
 			p[1].TrialStart = -1
 			return p
@@ -250,6 +245,23 @@ func TestPartialEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodePartialRejectsSolverKey: older workers stamped the solver mode
+// into every partial. The field is gone, so a partial that still carries it
+// is rejected at decode rather than merged.
+func TestDecodePartialRejectsSolverKey(t *testing.T) {
+	buf, err := partialFor("abc123", mergeSpec(t, 10), 0, 10).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := append([]byte("{\n  \"solver\": \"auto\","), buf[1:]...)
+	if _, err := DecodePartialManifest(bytes.NewReader(old)); err == nil || !strings.Contains(err.Error(), "solver") {
+		t.Errorf("decoder accepted a partial carrying a solver key (err %v)", err)
+	}
+	if _, err := DecodePartialManifest(bytes.NewReader(buf)); err != nil {
+		t.Errorf("decoder rejected the same partial without the key: %v", err)
+	}
+}
+
 // FuzzMergePartials throws arbitrary byte blobs at the decode-then-merge
 // path: whatever a worker or cache returns, the coordinator must either
 // merge a complete, exact tiling or error out — never panic, never accept
@@ -272,9 +284,9 @@ func FuzzMergePartials(f *testing.F) {
 	split := seed(partialFor(hash, spec, 0, 3), partialFor(hash, spec, 3, 3))
 	f.Add(whole[0], []byte("{}"))
 	f.Add(split[0], split[1])
-	f.Add(split[0], split[0])                        // duplicate range
-	f.Add(split[0], []byte(`{"schema_version":1}`))  // empty shard
-	f.Add([]byte(`not json at all`), split[1])       // corrupt
+	f.Add(split[0], split[0])                                                     // duplicate range
+	f.Add(split[0], []byte(`{"schema_version":1}`))                               // empty shard
+	f.Add([]byte(`not json at all`), split[1])                                    // corrupt
 	f.Add(bytes.Replace(split[0], []byte(hash), []byte("deadbeef"), 1), split[1]) // wrong hash
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		var parts []*PartialManifest

@@ -11,7 +11,6 @@ import (
 	"emvia/internal/mc"
 	"emvia/internal/pdn"
 	"emvia/internal/phys"
-	"emvia/internal/spice"
 	"emvia/internal/stat"
 	"emvia/internal/trace"
 	"emvia/internal/viaarray"
@@ -140,7 +139,7 @@ func runSpec(ctx context.Context, spec *JobSpec, ro RunOptions) (*runOutput, err
 		endResolve()
 		return nil, err
 	}
-	out := &runOutput{materialHash: core.MaterialHash(), solver: spice.DefaultSolver().String()}
+	out := &runOutput{materialHash: core.MaterialHash()}
 	if spec.Engine == mc.EngineSteady {
 		endResolve()
 		screen, err := pdn.ScreenGridCtx(ctx, g, pdn.ScreenConfig{})

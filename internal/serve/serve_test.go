@@ -230,7 +230,7 @@ func gatedRunner(started chan<- string, release <-chan struct{}) Runner {
 		started <- opts.Label
 		select {
 		case <-release:
-			return &runOutput{materialHash: "test", solver: "stub"}, nil
+			return &runOutput{materialHash: "test"}, nil
 		case <-ctx.Done():
 			return nil, fmt.Errorf("stub: %w", ctx.Err())
 		}
@@ -355,7 +355,7 @@ func TestRetryTransient(t *testing.T) {
 		if calls <= 2 {
 			return nil, &Transient{Err: errors.New("flaky backend")}
 		}
-		return &runOutput{materialHash: "test", solver: "stub"}, nil
+		return &runOutput{materialHash: "test"}, nil
 	}
 	_, ts := newTestServer(t, Config{Runner: runner, MaxAttempts: 3, RetryBackoff: time.Millisecond})
 
@@ -606,10 +606,10 @@ func TestLedgerReplaysJobSet(t *testing.T) {
 		if r.TrialsDone != 6 || r.TrialsTotal != 6 || r.Attempts != 1 || r.Retries != 0 {
 			t.Errorf("executed record %+v: want 6/6 trials, 1 attempt", r)
 		}
-		// The 6×6 test grid resolves "auto" to the dense backend; the ledger
-		// records what ran, not the requested mode.
-		if r.Backend != "dense" {
-			t.Errorf("job %s: ledger backend %q, want dense", id, r.Backend)
+		// The 6×6 test grid is below the supernodal cutoff, so its solves
+		// ran on the scalar sparse factor.
+		if r.Backend != "sparse" {
+			t.Errorf("job %s: ledger backend %q, want sparse", id, r.Backend)
 		}
 		for _, stage := range []string{"admit", "queue-wait", "mc", "manifest"} {
 			if _, ok := r.StageSeconds[stage]; !ok {

@@ -52,9 +52,8 @@ func factorLowerInPlace(l []float64, n int) error {
 	return nil
 }
 
-// NewDenseCholeskyFromCSR densifies a small sparse SPD matrix and factors it.
-// Intended for the direct power-grid solve path, where node counts are small
-// enough that O(n²) storage and O(n³) factorization beat iterative solves.
+// NewDenseCholeskyFromCSR densifies a small sparse SPD matrix and factors it,
+// for reference solves of sparse systems in tests.
 func NewDenseCholeskyFromCSR(a *sparse.CSR) (*DenseCholesky, error) {
 	n, cdim := a.Dims()
 	if n != cdim {
@@ -91,77 +90,6 @@ func (c *DenseCholesky) RefactorFromCSR(a *sparse.CSR) error {
 
 // N returns the system dimension.
 func (c *DenseCholesky) N() int { return c.n }
-
-// Set overwrites the factor with a copy of src's, which must have the same
-// dimension. It lets a Monte-Carlo trial restore a pristine factor by memcpy
-// instead of refactoring.
-func (c *DenseCholesky) Set(src *DenseCholesky) error {
-	if src.n != c.n {
-		return fmt.Errorf("solver: Set dimension %d, want %d", src.n, c.n)
-	}
-	copy(c.l, src.l)
-	return nil
-}
-
-// Clone returns an independent copy of the factor.
-func (c *DenseCholesky) Clone() *DenseCholesky {
-	l := make([]float64, len(c.l))
-	copy(l, c.l)
-	return &DenseCholesky{n: c.n, l: l}
-}
-
-// Update applies the rank-one update L·Lᵀ → L·Lᵀ + w·wᵀ in place (LINPACK
-// dchud). w is consumed. Updates always succeed on a valid factor.
-func (c *DenseCholesky) Update(w []float64) {
-	recordDense(telemetry.DenseUpdates)
-	n, l := c.n, c.l
-	k0 := 0
-	for k0 < n && w[k0] == 0 {
-		k0++
-	}
-	for k := k0; k < n; k++ {
-		lkk := l[k*n+k]
-		r := math.Hypot(lkk, w[k])
-		cc := r / lkk
-		s := w[k] / lkk
-		l[k*n+k] = r
-		for i := k + 1; i < n; i++ {
-			lik := (l[i*n+k] + s*w[i]) / cc
-			l[i*n+k] = lik
-			w[i] = cc*w[i] - s*lik
-		}
-	}
-}
-
-// Downdate applies the rank-one downdate L·Lᵀ → L·Lᵀ − w·wᵀ in place
-// (LINPACK dchdd). w is consumed. It returns ErrNotSPD — leaving the factor
-// partially modified, so the caller must refactor — when the downdated
-// matrix is not positive definite.
-func (c *DenseCholesky) Downdate(w []float64) error {
-	recordDense(telemetry.DenseDowndates)
-	n, l := c.n, c.l
-	k0 := 0
-	for k0 < n && w[k0] == 0 {
-		k0++
-	}
-	for k := k0; k < n; k++ {
-		lkk := l[k*n+k]
-		d := (lkk - w[k]) * (lkk + w[k])
-		if d <= 0 || math.IsNaN(d) {
-			return fmt.Errorf("%w: downdate pivot %g at row %d", ErrNotSPD, d, k)
-		}
-		r := math.Sqrt(d)
-		cc := r / lkk
-		s := w[k] / lkk
-		l[k*n+k] = r
-		for i := k + 1; i < n; i++ {
-			lik := (l[i*n+k] - s*w[i]) / cc
-			l[i*n+k] = lik
-			w[i] = cc*w[i] - s*lik
-		}
-	}
-	return nil
-}
 
 // Solve returns x with A·x = b.
 func (c *DenseCholesky) Solve(b []float64) ([]float64, error) {

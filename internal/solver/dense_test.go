@@ -1,12 +1,9 @@
 package solver
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
-
-	"emvia/internal/sparse"
 )
 
 func maxAbsDiff(a, b []float64) float64 {
@@ -68,203 +65,6 @@ func TestDenseCholeskyFromCSRMatchesDense(t *testing.T) {
 		if d := maxAbsDiff(xd, xs); d > 1e-12 {
 			t.Errorf("trial %d: CSR-built factor differs by %g", trial, d)
 		}
-	}
-}
-
-// TestDenseCholeskyUpdateDowndateMatchesRefactor verifies the LINPACK
-// rank-one recurrences against a from-scratch factorization: updating by
-// w·wᵀ must match factoring A + w·wᵀ, and downdating back must recover the
-// original solve.
-func TestDenseCholeskyUpdateDowndateMatchesRefactor(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for trial := 0; trial < 10; trial++ {
-		n := 2 + rng.Intn(15)
-		_, dense := randomSPD(rng, n)
-		ch, err := NewDenseCholesky(dense, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := make([]float64, n)
-		for i := range w {
-			w[i] = 0.3 * rng.NormFloat64()
-		}
-		// Sparse w with leading zeros, like a via edit touching two nodes.
-		for i := 0; i < n/2; i++ {
-			w[i] = 0
-		}
-		updated := make([]float64, n*n)
-		copy(updated, dense)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				updated[i*n+j] += w[i] * w[j]
-			}
-		}
-		ref, err := NewDenseCholesky(updated, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wc := make([]float64, n)
-		copy(wc, w)
-		ch.Update(wc)
-
-		b := make([]float64, n)
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		xu, _ := ch.Solve(b)
-		xr, _ := ref.Solve(b)
-		if d := maxAbsDiff(xu, xr); d > 1e-9 {
-			t.Errorf("trial %d: update vs refactor differ by %g", trial, d)
-		}
-
-		// Downdate back to the original matrix.
-		copy(wc, w)
-		if err := ch.Downdate(wc); err != nil {
-			t.Fatalf("trial %d: downdate: %v", trial, err)
-		}
-		orig, err := NewDenseCholesky(dense, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		xd, _ := ch.Solve(b)
-		xo, _ := orig.Solve(b)
-		if d := maxAbsDiff(xd, xo); d > 1e-9 {
-			t.Errorf("trial %d: downdate did not restore original (diff %g)", trial, d)
-		}
-	}
-}
-
-func TestDenseCholeskyDowndateRejectsIndefinite(t *testing.T) {
-	// A = I (2×2); downdating by w = (2,0) would give 1−4 < 0.
-	ch, err := NewDenseCholesky([]float64{1, 0, 0, 1}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ch.Downdate([]float64{2, 0}); !errors.Is(err, ErrNotSPD) {
-		t.Errorf("err = %v, want ErrNotSPD", err)
-	}
-}
-
-func TestDenseCholeskySetAndClone(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	_, d1 := randomSPD(rng, 8)
-	_, d2 := randomSPD(rng, 8)
-	a, _ := NewDenseCholesky(d1, 8)
-	bf, _ := NewDenseCholesky(d2, 8)
-	snap := a.Clone()
-	if err := a.Set(bf); err != nil {
-		t.Fatal(err)
-	}
-	b := make([]float64, 8)
-	b[3] = 1
-	xa, _ := a.Solve(b)
-	xb, _ := bf.Solve(b)
-	if d := maxAbsDiff(xa, xb); d != 0 {
-		t.Errorf("Set did not copy factor (diff %g)", d)
-	}
-	// The clone must be unaffected by the Set.
-	xs, _ := snap.Solve(b)
-	orig, _ := NewDenseCholesky(d1, 8)
-	xo, _ := orig.Solve(b)
-	if d := maxAbsDiff(xs, xo); d != 0 {
-		t.Errorf("Clone aliased the original factor (diff %g)", d)
-	}
-	if err := a.Set(&DenseCholesky{n: 3, l: make([]float64, 9)}); err == nil {
-		t.Error("Set accepted mismatched dimension")
-	}
-	if err := a.RefactorFromCSR(laplacian1D(5)); err == nil {
-		t.Error("RefactorFromCSR accepted mismatched dimension")
-	}
-}
-
-// TestJacobiUpdateDiagMatchesRebuild checks that the O(1) diagonal patch
-// leaves the preconditioner identical to one rebuilt from the edited matrix.
-func TestJacobiUpdateDiagMatchesRebuild(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	a, dense := randomSPD(rng, 10)
-	jac, err := NewJacobi(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Edit two diagonal entries, as a resistor edit between two free nodes
-	// would.
-	dense[2*10+2] += 3.5
-	dense[7*10+7] += 3.5
-	if !jac.UpdateDiag(2, dense[2*10+2]) || !jac.UpdateDiag(7, dense[7*10+7]) {
-		t.Fatal("UpdateDiag rejected positive diagonal")
-	}
-	tr := sparse.NewTriplet(10, 10, 100)
-	for i := 0; i < 10; i++ {
-		for j := 0; j < 10; j++ {
-			tr.Add(i, j, dense[i*10+j])
-		}
-	}
-	ref, err := NewJacobi(tr.ToCSR())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := make([]float64, 10)
-	for i := range r {
-		r[i] = rng.NormFloat64()
-	}
-	z1 := make([]float64, 10)
-	z2 := make([]float64, 10)
-	jac.Apply(z1, r)
-	ref.Apply(z2, r)
-	if d := maxAbsDiff(z1, z2); d != 0 {
-		t.Errorf("patched Jacobi differs from rebuilt by %g", d)
-	}
-	if jac.UpdateDiag(2, 0) || jac.UpdateDiag(2, math.NaN()) {
-		t.Error("UpdateDiag accepted nonpositive diagonal")
-	}
-}
-
-// TestIC0RefreshMatchesFresh checks that refreshing an IC(0) factor in place
-// from a same-pattern matrix gives the factor a fresh NewIC0 would build.
-func TestIC0RefreshMatchesFresh(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	a1, dense := randomSPD(rng, 12)
-	ic, err := NewIC0(a1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same pattern (fully dense here), different values: scale and bump the
-	// diagonal so the refreshed factor is genuinely different.
-	tr := sparse.NewTriplet(12, 12, 144)
-	for i := 0; i < 12; i++ {
-		for j := 0; j < 12; j++ {
-			v := 1.7 * dense[i*12+j]
-			if i == j {
-				v += 2
-			}
-			tr.Add(i, j, v)
-		}
-	}
-	a2 := tr.ToCSR()
-	if err := ic.Refresh(a2); err != nil {
-		t.Fatalf("Refresh: %v", err)
-	}
-	ref, err := NewIC0(a2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := make([]float64, 12)
-	for i := range r {
-		r[i] = rng.NormFloat64()
-	}
-	z1 := make([]float64, 12)
-	z2 := make([]float64, 12)
-	ic.Apply(z1, r)
-	ref.Apply(z2, r)
-	if d := maxAbsDiff(z1, z2); d != 0 {
-		t.Errorf("refreshed IC0 differs from fresh by %g", d)
-	}
-	// Pattern mismatch must be rejected, not silently misapplied.
-	if err := ic.Refresh(laplacian1D(12)); err == nil {
-		t.Error("Refresh accepted a different sparsity pattern")
-	}
-	if err := ic.Refresh(laplacian1D(5)); err == nil {
-		t.Error("Refresh accepted a different dimension")
 	}
 }
 

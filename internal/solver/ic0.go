@@ -102,8 +102,7 @@ func (ic *IC0) buildUpper() {
 }
 
 // syncUpper copies the factored strict-lower values into the row-wise upper
-// storage and refreshes the reciprocal diagonal. Allocation-free, so Refresh
-// stays usable inside hot loops.
+// storage and refreshes the reciprocal diagonal.
 func (ic *IC0) syncUpper() {
 	for k, p := range ic.uperm {
 		if p >= 0 {
@@ -161,41 +160,6 @@ func (ic *IC0) factor() error {
 		}
 		valsAll[diag[i]] = math.Sqrt(d)
 	}
-	return nil
-}
-
-// Refresh refactors the preconditioner in place from a, which must have the
-// sparsity pattern the factor was built from. It performs no allocation, so
-// the circuit solver can refresh a stale factor inside the Monte-Carlo inner
-// loop. On error the factor content is undefined and the caller must rebuild
-// with NewIC0.
-func (ic *IC0) Refresh(a *sparse.CSR) error {
-	n, c := a.Dims()
-	if n != ic.n || c != ic.n {
-		return fmt.Errorf("solver: IC0 Refresh dimensions %d×%d, want %d×%d", n, c, ic.n, ic.n)
-	}
-	// Re-copy the lower triangle of a into the factor storage in place.
-	w := 0
-	for i := 0; i < n; i++ {
-		cols, vals := a.Row(i)
-		for k, col := range cols {
-			if col > i {
-				break
-			}
-			if w >= ic.ptr[i+1] || ic.cols[w] != col {
-				return fmt.Errorf("solver: IC0 Refresh pattern mismatch at (%d,%d)", i, col)
-			}
-			ic.vals[w] = vals[k]
-			w++
-		}
-		if w != ic.ptr[i+1] {
-			return fmt.Errorf("solver: IC0 Refresh pattern mismatch in row %d", i)
-		}
-	}
-	if err := ic.factor(); err != nil {
-		return err
-	}
-	ic.syncUpper()
 	return nil
 }
 

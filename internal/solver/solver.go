@@ -2,11 +2,14 @@
 // positive-definite (SPD) linear systems produced by finite-element stiffness
 // assembly and power-grid nodal analysis.
 //
-// The workhorse is the preconditioned conjugate-gradient method with a
-// choice of identity, Jacobi (diagonal) or zero-fill incomplete-Cholesky
-// preconditioners. A dense Cholesky factorization is included for small
-// systems (via-array networks) and for cross-checking the iterative path in
-// tests.
+// Power-grid circuits are solved by sparse Cholesky factorization: a scalar
+// up-looking factor (SparseCholesky) and a blocked supernodal one
+// (SupernodalCholesky), both behind the SparseFactor interface, with edge
+// solves for Sherman–Morrison failure updates. Finite-element and thermal
+// systems use the preconditioned conjugate-gradient method with a choice of
+// identity, Jacobi (diagonal) or zero-fill incomplete-Cholesky
+// preconditioners. A dense Cholesky factorization serves small via-array
+// networks and reference solves in tests.
 package solver
 
 import (
@@ -32,31 +35,6 @@ type Preconditioner interface {
 	// Apply overwrites z with M⁻¹·r. z and r have the system dimension and
 	// must not alias.
 	Apply(z, r []float64)
-}
-
-// Updatable is implemented by preconditioners that can absorb a single
-// diagonal change of the system matrix in O(1), keeping the preconditioner
-// exactly current across the low-rank edits the EM failure simulation makes.
-type Updatable interface {
-	Preconditioner
-	// UpdateDiag records that diagonal entry i of the system matrix is now
-	// d. It reports false when d is unusable (non-positive), in which case
-	// the caller must rebuild the preconditioner instead.
-	UpdateDiag(i int, d float64) bool
-}
-
-// Refreshable is implemented by preconditioners that can refactor in place
-// from a matrix with the same sparsity pattern they were built from, without
-// allocating. Callers use it to refresh a stale factor on a schedule (every K
-// topology edits, or when CG iteration counts drift) instead of on every
-// solve.
-type Refreshable interface {
-	Preconditioner
-	// Refresh recomputes the preconditioner from a, which must have the
-	// sparsity pattern of the matrix the preconditioner was built from. On
-	// error the preconditioner is left in an undefined state and must be
-	// rebuilt from scratch.
-	Refresh(a *sparse.CSR) error
 }
 
 // Identity is the trivial preconditioner M = I.
@@ -89,40 +67,6 @@ func (j *Jacobi) Apply(z, r []float64) {
 	for i, ri := range r {
 		z[i] = ri * j.invDiag[i]
 	}
-}
-
-// UpdateDiag replaces the cached inverse of diagonal entry i in O(1). It
-// reports false (leaving the old value) when d is not positive.
-func (j *Jacobi) UpdateDiag(i int, d float64) bool {
-	if d <= 0 || math.IsNaN(d) {
-		return false
-	}
-	j.invDiag[i] = 1 / d
-	return true
-}
-
-// Refresh recomputes every inverse diagonal from a without allocating. The
-// matrix must have the dimension the preconditioner was built with.
-func (j *Jacobi) Refresh(a *sparse.CSR) error {
-	n, _ := a.Dims()
-	if n != len(j.invDiag) {
-		return fmt.Errorf("solver: Jacobi Refresh dimension %d, want %d", n, len(j.invDiag))
-	}
-	for i := 0; i < n; i++ {
-		d := 0.0
-		cols, vals := a.Row(i)
-		for k, c := range cols {
-			if c == i {
-				d = vals[k]
-				break
-			}
-		}
-		if d <= 0 {
-			return fmt.Errorf("%w: diagonal entry %d is %g", ErrNotSPD, i, d)
-		}
-		j.invDiag[i] = 1 / d
-	}
-	return nil
 }
 
 // Options configures the conjugate-gradient iteration.

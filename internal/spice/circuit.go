@@ -10,29 +10,12 @@ import (
 	"emvia/internal/trace"
 )
 
-// Tunables of the incremental re-solve engine.
-const (
-	// defaultTol is the CG relative-residual tolerance.
-	defaultTol = 1e-7
-	// defaultDirectMaxNodes is the free-node count at and below which solves
-	// use a cached dense Cholesky factor maintained by rank-one updates
-	// instead of preconditioned CG. At a few hundred unknowns the O(n²)
-	// triangular solves beat CG iteration, and failure edits become O(n²)
-	// factor updates instead of fresh Krylov solves.
-	defaultDirectMaxNodes = 256
-	// supernodalMinNodes is the free-node count at and above which the sparse
-	// direct path uses the blocked supernodal factorization instead of the
-	// scalar up-looking one. Below it the scalar factor's lower constant wins;
-	// above it the supernodal panels amortize indexing across dense columns
-	// and the elimination-tree level schedule can use the solver worker pool.
-	supernodalMinNodes = 2048
-	// precondRefreshEdits is the staleness budget K: a Refreshable
-	// preconditioner is refactored in place once this many resistor edits
-	// have accumulated since it last matched the matrix. Below the budget
-	// the stale factor is knowingly reused — after few failures it remains
-	// an excellent (and still SPD, hence valid) preconditioner.
-	precondRefreshEdits = 16
-)
+// supernodalMinNodes is the free-node count at and above which circuits use
+// the blocked supernodal factorization instead of the scalar up-looking one.
+// Below it the scalar factor's lower constant wins; above it the supernodal
+// panels amortize indexing across dense columns and the elimination-tree
+// level schedule can use the solver worker pool.
+const supernodalMinNodes = 2048
 
 // Circuit is a compiled netlist ready for repeated DC solves with mutable
 // resistor values — the operation the EM failure simulation performs after
@@ -40,21 +23,9 @@ const (
 // system (the gmin leak puts every free node on the diagonal and disabled
 // resistors stay in the pattern), after which every resistor edit is an
 // in-place O(4) value update and re-solves reuse all buffers and factors.
+// Every solve is a sparse Cholesky direct solve: scalar up-looking below
+// supernodalMinNodes free nodes, supernodal at and above.
 type Circuit struct {
-	// Tol is the relative residual tolerance of the iterative solve path.
-	// Zero selects the default 1e-7.
-	Tol float64
-	// DirectMaxNodes bounds the free-node count for the direct dense-factor
-	// path. Zero selects the default 256; negative disables the direct path.
-	// It is consulted when the solve pattern is first compiled, so set it
-	// before the first solve.
-	DirectMaxNodes int
-	// Solver selects the backend. The zero value defers to the process-wide
-	// default (normally SolverAuto: dense up to DirectMaxNodes, sparse
-	// Cholesky above). Like DirectMaxNodes it is consulted when the solve
-	// pattern is first compiled.
-	Solver SolverMode
-
 	names []string
 	index map[string]int
 
@@ -68,17 +39,6 @@ type Circuit struct {
 	gmin float64
 
 	asm *assembly // compiled fixed-pattern system; nil until the first solve
-
-	// Preconditioner cache for the iterative path. precondGen records the
-	// assembly generation the preconditioner last matched, so SolveDC can
-	// tell exactly how stale it is: Updatable preconditioners are kept
-	// current eagerly, Refreshable ones refresh on the staleness policy
-	// (edit budget or CG iteration drift), and any reuse in between is a
-	// deliberate policy decision rather than a forgotten invalidation.
-	precond           solver.Preconditioner
-	precondIters      int // iteration count right after the cache was (re)built
-	precondGen        uint64
-	editsSinceRefresh int
 
 	// met holds telemetry handles fetched once at compile; all nil (no-op)
 	// when telemetry is disabled.
@@ -114,7 +74,6 @@ type assembly struct {
 	mat   *sparse.CSR
 	rhs   []float64
 	slots []resSlots // nil until the first edit compiles them (ensureSlots)
-	gen   uint64     // bumped on every value edit
 
 	// Pristine snapshots taken right after compilation. ResetResistors
 	// restores them verbatim, so every Monte-Carlo trial starts from
@@ -124,37 +83,20 @@ type assembly struct {
 	rhs0 []float64
 	res0 []cResistor
 
-	// Direct path (small grids): cached dense Cholesky factor maintained by
-	// rank-one updates/downdates; chol0 is the pristine factor restored at
-	// trial reset by memcpy. The factor is built lazily — a one-shot cold
-	// solve never pays the O(n³) factorization; only re-solve activity
-	// (an edit or a trial reset after the first solve) triggers it.
-	direct       bool
-	chol         *solver.DenseCholesky
-	chol0        *solver.DenseCholesky
-	w            []float64 // rank-one update scratch
-	needRefactor bool      // the factor no longer matches mat; refactor lazily
-
-	// Sparse direct path (large grids): pristine is the fill-reducing-ordered
-	// sparse Cholesky factor of the compiled matrix values. Unlike the dense
-	// path it engages eagerly on the first solve — above the dense ceiling
-	// the symbolic-plus-numeric factorization already beats a cold
-	// preconditioned CG solve. It is never modified afterwards: clones share
-	// it read-only (borrowed), and SolveEdge runs against it with
-	// caller-owned scratch. Full solves of an edited matrix use the private
-	// factor, refactored from the matrix values when needRefactor is set
-	// (shared with the dense path: only one direct backend is ever active).
-	// A borrowing clone also solves the pristine system on a private copy,
-	// since a factor's solve scratch is its own.
-	sparseDirect bool
+	// pristine is the fill-reducing-ordered sparse Cholesky factor of the
+	// compiled matrix values, built by the first solve. It is never modified
+	// afterwards: clones share it read-only (borrowed), and SolveEdge runs
+	// against it with caller-owned scratch. Full solves of an edited matrix
+	// use the private factor, refactored from the matrix values when
+	// needRefactor is set. A borrowing clone also solves the pristine system
+	// on a private copy, since a factor's solve scratch is its own.
 	pristine     solver.SparseFactor
 	private      solver.SparseFactor
 	borrowed     bool // pristine belongs to the circuit this one was cloned from
 	edited       bool // matrix values differ from the compiled ones
+	needRefactor bool // the private factor no longer matches mat; refactor lazily
 
-	// Iterative-path scratch: CG workspace and the warm-start vector.
-	work solver.Workspace
-	x0   []float64
+	x []float64 // free-node solution scratch of full solves
 }
 
 // Compile flattens a netlist into solver-ready form. Every voltage source
@@ -200,6 +142,9 @@ func Compile(nl *Netlist) (*Circuit, error) {
 	maxCond := 0.0
 	for _, r := range nl.Resistors {
 		g := 1 / r.Ohms
+		if math.IsNaN(g) || math.IsInf(g, 0) {
+			return nil, fmt.Errorf("spice: resistor %s of %g Ω has a conductance that is not finite", r.Name, r.Ohms)
+		}
 		if g > maxCond {
 			maxCond = g
 		}
@@ -235,25 +180,6 @@ func (c *Circuit) NodeName(i int) string { return c.names[i] }
 
 // IsPad reports whether node i is pinned by a voltage source.
 func (c *Circuit) IsPad(i int) bool { return c.freeIdx[i] < 0 }
-
-// Generation returns the topology-edit counter of the compiled system: it
-// advances on every resistor value change, disable, enable, and reset, and is
-// zero before the first solve. Tests and callers use it to reason about
-// preconditioner staleness.
-func (c *Circuit) Generation() uint64 {
-	if c.asm == nil {
-		return 0
-	}
-	return c.asm.gen
-}
-
-// DirectPath reports whether solves use the cached dense factor (small
-// systems) rather than preconditioned CG. Decided at first solve.
-func (c *Circuit) DirectPath() bool { return c.asm != nil && c.asm.direct }
-
-// PrecondStaleEdits returns how many resistor edits the iterative-path
-// preconditioner is currently behind the matrix. Zero means exactly current.
-func (c *Circuit) PrecondStaleEdits() int { return c.editsSinceRefresh }
 
 // freeTerm maps a node index (-1 = ground) to its free equation index.
 func (c *Circuit) freeTerm(node int) int {
@@ -335,69 +261,17 @@ func (c *Circuit) compile() {
 			}
 		}
 	}
-	a := &assembly{mat: tr.ToCSR(), rhs: rhs}
-	c.asm = a
-
-	limit := c.DirectMaxNodes
-	if limit == 0 {
-		limit = defaultDirectMaxNodes
-	}
-	mode := c.Solver
-	if mode == SolverDefault {
-		mode = DefaultSolver()
-	}
-	switch mode {
-	case SolverDense:
-		a.direct = n > 0
-	case SolverSparse:
-		a.sparseDirect = n > 0
-	case SolverCG:
-		// Neither direct path; preconditioned CG handles everything.
-	default: // SolverAuto
-		if n > 0 && limit > 0 && n <= limit {
-			a.direct = true
-		} else if n > 0 {
-			a.sparseDirect = true
-		}
-	}
-	if a.direct {
-		a.w = make([]float64, n)
-	}
-	a.work.Reserve(n)
-	a.x0 = make([]float64, n)
+	c.asm = &assembly{mat: tr.ToCSR(), rhs: rhs, x: make([]float64, n)}
 }
 
-// SolverBackend reports the backend the compiled circuit actually uses
-// ("dense", "sparse" or "cg"); before the first solve it reports how the
-// current configuration would resolve. Factorization failures downgrade a
-// direct backend to CG, and this reflects that.
+// SolverBackend names the sparse factor the circuit's solves use, which the
+// free-node count decides: "sparse" for the scalar up-looking factor below
+// supernodalMinNodes free nodes, "supernodal" at and above.
 func (c *Circuit) SolverBackend() string {
-	if c.asm != nil {
-		switch {
-		case c.asm.direct:
-			return SolverDense.String()
-		case c.asm.sparseDirect:
-			return SolverSparse.String()
-		default:
-			return SolverCG.String()
-		}
+	if c.nFree >= supernodalMinNodes {
+		return "supernodal"
 	}
-	mode := c.Solver
-	if mode == SolverDefault {
-		mode = DefaultSolver()
-	}
-	if mode == SolverAuto {
-		limit := c.DirectMaxNodes
-		if limit == 0 {
-			limit = defaultDirectMaxNodes
-		}
-		if limit > 0 && c.nFree <= limit {
-			mode = SolverDense
-		} else {
-			mode = SolverSparse
-		}
-	}
-	return mode.String()
+	return "sparse"
 }
 
 // ensureSlots lazily compiles the incremental-edit machinery: the
@@ -473,66 +347,20 @@ func (c *Circuit) applyDelta(sl resSlots, dg float64) {
 }
 
 // editResistor propagates an effective-conductance change of resistor i into
-// the compiled system and its cached factor or preconditioner. Before the
-// first solve there is nothing compiled and the change is simply recorded in
-// the resistor table.
+// the compiled system. The pristine factor is never edited; the next full
+// solve refactors the private one from the matrix values. Failure cascades
+// do not come here at all: they update their solution against the pristine
+// factor with SolveEdge (see pdn.GridSystem). Before the first solve there is
+// nothing compiled and the change is simply recorded in the resistor table.
 func (c *Circuit) editResistor(i int, dg float64) {
 	if dg == 0 || c.asm == nil {
 		return
 	}
 	a := c.asm
-	a.gen++
-	sl := a.slots[i]
-	c.applyDelta(sl, dg)
-	c.editsSinceRefresh++
+	c.applyDelta(a.slots[i], dg)
 	c.met.slotEdits.Inc()
-	if a.sparseDirect {
-		// The pristine factor is never edited; the next full solve refactors
-		// the private one from the matrix values. Failure cascades do not
-		// come here at all: they update their solution against the pristine
-		// factor with SolveEdge (see pdn.GridSystem).
-		a.edited = true
-		a.needRefactor = true
-		return
-	}
-	if a.direct {
-		if a.chol != nil && !a.needRefactor {
-			// The edit is rank-one: ΔA = dg·u·uᵀ with u = e_fa − e_fb
-			// (dropping pad/ground terminals), so the cached factor absorbs
-			// it as a Cholesky update (dg > 0) or downdate (dg < 0).
-			s := math.Sqrt(math.Abs(dg))
-			w := a.w
-			for j := range w {
-				w[j] = 0
-			}
-			if sl.fa >= 0 {
-				w[sl.fa] = s
-			}
-			if sl.fb >= 0 {
-				w[sl.fb] = -s
-			}
-			if dg > 0 {
-				a.chol.Update(w)
-			} else if err := a.chol.Downdate(w); err != nil {
-				// Cancellation broke the downdate; the CSR values are always
-				// correct, so refactor from them at the next solve.
-				a.needRefactor = true
-			}
-		}
-		return
-	}
-	if upd, ok := c.precond.(solver.Updatable); ok {
-		// Updatable preconditioners absorb the touched diagonals in O(1)
-		// and stay exactly current.
-		okA := sl.fa < 0 || upd.UpdateDiag(sl.fa, a.mat.ValueAt(sl.aa))
-		okB := sl.fb < 0 || upd.UpdateDiag(sl.fb, a.mat.ValueAt(sl.bb))
-		if okA && okB {
-			c.precondGen = a.gen
-			c.editsSinceRefresh = 0
-		} else {
-			c.precond = nil
-		}
-	}
+	a.edited = true
+	a.needRefactor = true
 }
 
 // SetResistor replaces the value of resistor i (netlist order), re-enabling
@@ -576,7 +404,7 @@ func (c *Circuit) ResistorDisabled(i int) bool { return c.res[i].disabled }
 // ResetResistors restores every resistor — value and enabled state — to the
 // snapshot taken when the solve pattern was compiled (for a circuit solved
 // straight after Compile, the netlist values), together with the matching
-// matrix values, RHS, cached factor, and preconditioner. It is the O(nnz)
+// matrix values and RHS, so the pristine factor solves again. It is the O(nnz)
 // bulk alternative to replaying SetResistor calls and leaves the circuit in
 // a canonical bit-reproducible state, which is what keeps parallel
 // Monte-Carlo trials identical to serial ones. Before the first solve it is
@@ -591,43 +419,10 @@ func (c *Circuit) ResetResistors() {
 	copy(c.res, a.res0)
 	a.mat.SetValues(a.mat0)
 	copy(a.rhs, a.rhs0)
-	a.gen++
-	if a.sparseDirect {
-		// The pristine factor matches the restored values again; a private
-		// factor no longer does.
-		a.edited = false
-		a.needRefactor = a.private != nil
-		return
-	}
-	if a.direct {
-		if a.chol0 != nil {
-			// Pristine factor restored by memcpy — no refactorization.
-			a.chol.Set(a.chol0)
-			a.needRefactor = false
-		} else if err := c.ensureFactor(); err != nil {
-			// Matrix values are pristine, so a factorization failure here
-			// means the direct path cannot work at all; fall back to CG.
-			a.direct = false
-		} else {
-			// First trial reset: mat holds pristine values, so the factor
-			// just built is the pristine one — snapshot it for later resets.
-			a.chol0 = a.chol.Clone()
-		}
-		return
-	}
-	if c.precond != nil {
-		// Put the preconditioner into its canonical pristine-matrix state so
-		// trial results do not depend on the refresh history of earlier
-		// trials on this circuit.
-		if rf, ok := c.precond.(solver.Refreshable); ok {
-			if err := rf.Refresh(a.mat); err != nil {
-				c.precond = solver.NewAutoPreconditioner(a.mat)
-			}
-		}
-		c.precondGen = a.gen
-		c.editsSinceRefresh = 0
-		c.precondIters = -1
-	}
+	// The pristine factor matches the restored values again; a private
+	// factor no longer does.
+	a.edited = false
+	a.needRefactor = a.private != nil
 }
 
 // SetCurrent replaces the drive of current source i (netlist order). A load
@@ -685,18 +480,15 @@ func (c *Circuit) NumCurrents() int { return len(c.cur) }
 // mutating the same circuit concurrently is not.
 func (c *Circuit) Clone() *Circuit {
 	d := &Circuit{
-		Tol:            c.Tol,
-		DirectMaxNodes: c.DirectMaxNodes,
-		Solver:         c.Solver,
-		names:          c.names,
-		index:          c.index,
-		fixed:          c.fixed,
-		freeIdx:        c.freeIdx,
-		nFree:          c.nFree,
-		res:            append([]cResistor(nil), c.res...),
-		cur:            append([]cCurrent(nil), c.cur...),
-		gmin:           c.gmin,
-		met:            c.met,
+		names:   c.names,
+		index:   c.index,
+		fixed:   c.fixed,
+		freeIdx: c.freeIdx,
+		nFree:   c.nFree,
+		res:     append([]cResistor(nil), c.res...),
+		cur:     append([]cCurrent(nil), c.cur...),
+		gmin:    c.gmin,
+		met:     c.met,
 	}
 	a := c.asm
 	if a == nil {
@@ -706,32 +498,19 @@ func (c *Circuit) Clone() *Circuit {
 		mat:          a.mat.ShallowCloneValues(),
 		rhs:          append([]float64(nil), a.rhs...),
 		slots:        a.slots, // read-only once built
-		gen:          a.gen,
-		mat0:         a.mat0, // pristine snapshots are write-once
+		mat0:         a.mat0,  // pristine snapshots are write-once
 		res0:         a.res0,
-		direct:       a.direct,
-		sparseDirect: a.sparseDirect,
 		needRefactor: a.needRefactor,
 		pristine:     a.pristine, // never modified: shared read-only
 		borrowed:     a.pristine != nil,
 		edited:       a.edited,
+		x:            make([]float64, c.nFree),
 	}
 	if a.rhs0 != nil {
 		// rhs0 is the one snapshot that can move after it is taken
 		// (SetCurrent re-baselines loads), so the clone owns a copy.
 		b.rhs0 = append([]float64(nil), a.rhs0...)
 	}
-	if a.chol != nil {
-		b.chol = a.chol.Clone()
-	}
-	if a.chol0 != nil {
-		b.chol0 = a.chol0.Clone()
-	}
-	if a.direct {
-		b.w = make([]float64, c.nFree)
-	}
-	b.work.Reserve(c.nFree)
-	b.x0 = make([]float64, c.nFree)
 	d.asm = b
 	return d
 }
@@ -740,7 +519,6 @@ func (c *Circuit) Clone() *Circuit {
 type OP struct {
 	c     *Circuit
 	volts []float64 // per node (pads hold their pinned values)
-	stats solver.Stats
 }
 
 // NewOP returns an empty operating point sized for this circuit, for use as
@@ -749,13 +527,11 @@ func (c *Circuit) NewOP() *OP {
 	return &OP{c: c, volts: make([]float64, len(c.names))}
 }
 
-// SolveDC computes the operating point into a fresh OP. prev, when non-nil,
-// warm-starts the iterative solve from an earlier operating point of the
-// same circuit — after a single failure the solution moves little, so this
-// typically cuts iterations substantially.
+// SolveDC computes the operating point into a fresh OP. prev is ignored:
+// solves are direct and need no starting point.
 func (c *Circuit) SolveDC(prev *OP) (*OP, error) {
 	op := &OP{}
-	if err := c.SolveDCInto(op, prev); err != nil {
+	if err := c.SolveDCInto(op); err != nil {
 		return nil, err
 	}
 	return op, nil
@@ -763,20 +539,16 @@ func (c *Circuit) SolveDC(prev *OP) (*OP, error) {
 
 // SolveDCInto computes the operating point into dst, reusing its buffers.
 // Together with the compiled fixed-pattern assembly this makes repeated
-// re-solves after resistor edits allocation-free. prev, when non-nil,
-// warm-starts the iterative path and must not be dst itself.
-func (c *Circuit) SolveDCInto(dst, prev *OP) error {
+// re-solves after resistor edits allocation-free. The first call compiles
+// the system and factors it; a factorization failure is returned.
+func (c *Circuit) SolveDCInto(dst *OP) error {
 	if dst == nil {
 		return fmt.Errorf("spice: SolveDCInto needs a destination OP")
-	}
-	if dst == prev {
-		return fmt.Errorf("spice: SolveDCInto destination must differ from the warm-start OP")
 	}
 	dst.c = c
 	if len(dst.volts) != len(c.names) {
 		dst.volts = make([]float64, len(c.names))
 	}
-	dst.stats = solver.Stats{}
 	if c.nFree == 0 {
 		// Everything pinned: trivial.
 		copy(dst.volts, c.fixed)
@@ -786,113 +558,15 @@ func (c *Circuit) SolveDCInto(dst, prev *OP) error {
 		c.compile()
 	}
 	a := c.asm
-	n := c.nFree
-
-	// The sparse direct path engages eagerly: above the dense ceiling the
-	// AMD-ordered factorization beats even a single cold CG solve, and its
-	// cost is amortized across every re-solve that follows.
-	if a.sparseDirect {
-		f, err := c.sparseFactor()
-		if err != nil {
-			// The sparse factorization failed; fall back to CG permanently.
-			a.sparseDirect = false
-		} else {
-			a.work.Reserve(n)
-			if err := f.SolveInto(a.work.X, a.rhs); err != nil {
-				return fmt.Errorf("spice: DC solve: %w", err)
-			}
-			c.met.sparseSolves.Inc()
-			c.scatter(dst, a.work.X)
-			return nil
-		}
-	}
-
-	// The dense direct path engages only once there is re-solve activity (an
-	// edit or a reset): a one-shot cold solve stays on CG and never pays the
-	// O(n³) factorization.
-	useDirect := a.direct && (a.chol != nil || a.gen > 0)
-	if useDirect && (a.chol == nil || a.needRefactor) {
-		if err := c.ensureFactor(); err != nil {
-			// The dense factorization failed; fall back to CG permanently.
-			a.direct = false
-			useDirect = false
-		}
-	}
-	if useDirect {
-		a.work.Reserve(n)
-		if err := a.chol.SolveInto(a.work.X, a.rhs); err != nil {
-			return fmt.Errorf("spice: DC solve: %w", err)
-		}
-		c.met.directSolves.Inc()
-		c.scatter(dst, a.work.X)
-		return nil
-	}
-
-	var x0 []float64
-	if prev != nil && prev.c == c {
-		x0 = a.x0
-		for i := range c.names {
-			if fi := c.freeIdx[i]; fi >= 0 {
-				x0[fi] = prev.volts[i]
-			}
-		}
-	}
-	tol := c.Tol
-	if tol == 0 {
-		tol = defaultTol
-	}
-	if c.precond == nil {
-		c.precond = solver.NewAutoPreconditioner(a.mat)
-		c.precondIters = -1
-		c.precondGen = a.gen
-		c.editsSinceRefresh = 0
-	}
-	// Staleness policy: the generation counter tells how far the
-	// preconditioner lags the matrix. Within the edit budget the stale
-	// factor is reused deliberately; past it, refresh in place.
-	if c.precondGen != a.gen && c.editsSinceRefresh >= precondRefreshEdits {
-		c.refreshPrecond()
-	}
-	x, st, err := solver.CG(a.mat, a.rhs, solver.Options{Tol: tol, M: c.precond, X0: x0, Work: &a.work})
+	f, err := c.sparseFactor()
 	if err != nil {
-		// The preconditioner may be broken (e.g. a failed in-place refresh);
-		// rebuild from scratch once and retry before giving up.
-		c.precond = solver.NewAutoPreconditioner(a.mat)
-		c.precondIters = -1
-		c.precondGen = a.gen
-		c.editsSinceRefresh = 0
-		x, st, err = solver.CG(a.mat, a.rhs, solver.Options{Tol: tol, M: c.precond, X0: x0, Work: &a.work})
-		if err != nil {
-			return fmt.Errorf("spice: DC solve: %w", err)
-		}
+		return fmt.Errorf("spice: DC solve: %w", err)
 	}
-	if c.precondIters < 0 {
-		c.precondIters = st.Iterations
-	} else if st.Iterations > 8*(c.precondIters+4) {
-		// Convergence drifted well past the fresh-factor baseline even
-		// inside the edit budget: refresh now so the next solve recovers.
-		c.refreshPrecond()
+	if err := f.SolveInto(a.x, a.rhs); err != nil {
+		return fmt.Errorf("spice: DC solve: %w", err)
 	}
-	c.met.cgSolves.Inc()
-	dst.stats = st
-	c.scatter(dst, x)
-	return nil
-}
-
-// ensureFactor builds (or rebuilds, after a downdate breakdown) the cached
-// dense factor from the current matrix values.
-func (c *Circuit) ensureFactor() error {
-	a := c.asm
-	if a.chol == nil {
-		chol, err := solver.NewDenseCholeskyFromCSR(a.mat)
-		if err != nil {
-			return err
-		}
-		a.chol = chol
-	} else if err := a.chol.RefactorFromCSR(a.mat); err != nil {
-		return err
-	}
-	a.needRefactor = false
+	c.met.sparseSolves.Inc()
+	c.scatter(dst, a.x)
 	return nil
 }
 
@@ -951,11 +625,10 @@ func (c *Circuit) sparseFactor() (solver.SparseFactor, error) {
 // vector of a Sherman–Morrison update that opens or rescales resistor i.
 // scratch is caller-owned, of length NumFree, all-zero on entry and left
 // all-zero. SolveEdge only reads the pristine factor, which clones share,
-// so clones may call it concurrently. It needs the sparse direct backend
-// after its first solve.
+// so clones may call it concurrently. It needs a solved circuit.
 func (c *Circuit) SolveEdge(z []float64, i int, scratch []float64) error {
 	if c.asm == nil || c.asm.pristine == nil {
-		return fmt.Errorf("spice: SolveEdge needs a solved circuit on the sparse direct backend (backend is %s)", c.SolverBackend())
+		return fmt.Errorf("spice: SolveEdge needs a solved circuit")
 	}
 	if i < 0 || i >= len(c.res) {
 		return fmt.Errorf("spice: resistor index %d out of range", i)
@@ -966,22 +639,6 @@ func (c *Circuit) SolveEdge(z []float64, i int, scratch []float64) error {
 	}
 	c.met.edgeSolves.Inc()
 	return nil
-}
-
-// refreshPrecond brings the cached preconditioner up to date with the
-// current matrix, in place when it supports that, and resets the staleness
-// accounting and the iteration baseline.
-func (c *Circuit) refreshPrecond() {
-	c.met.refreshes.Inc()
-	a := c.asm
-	if rf, ok := c.precond.(solver.Refreshable); ok {
-		if err := rf.Refresh(a.mat); err != nil {
-			c.precond = solver.NewAutoPreconditioner(a.mat)
-		}
-	}
-	c.precondGen = a.gen
-	c.editsSinceRefresh = 0
-	c.precondIters = -1
 }
 
 // scatter expands the free-node solution x into per-node voltages.
@@ -1036,8 +693,8 @@ func (c *Circuit) ResistorNodes(i int) (a, b int) {
 
 // ScatterFree expands a free-node solution x (length NumFree) into the
 // per-node voltages of op, exactly as an internal solve would. op is bound to
-// this circuit and its iterative-solver stats are cleared: the caller is
-// asserting x is an exact solve of the current system.
+// this circuit: the caller is asserting x is an exact solve of the current
+// system.
 func (c *Circuit) ScatterFree(op *OP, x []float64) error {
 	if op == nil {
 		return fmt.Errorf("spice: ScatterFree needs a destination OP")
@@ -1049,7 +706,6 @@ func (c *Circuit) ScatterFree(op *OP, x []float64) error {
 	if len(op.volts) != len(c.names) {
 		op.volts = make([]float64, len(c.names))
 	}
-	op.stats = solver.Stats{}
 	c.scatter(op, x)
 	return nil
 }
@@ -1110,10 +766,11 @@ func (c *Circuit) Residual(op *OP) (float64, error) {
 
 // CloneFor returns a copy of the operating point bound to clone, which must
 // be a Clone of the circuit that produced it (same node table). Rebinding
-// matters for warm starts: SolveDCInto only uses prev when it belongs to the
-// same circuit, so a cloned system must carry cloned operating points.
+// matters because an operating point reads resistor state through its
+// circuit (ResistorCurrent) and GatherFree accepts only its own circuit's
+// points, so a cloned system must carry cloned operating points.
 func (op *OP) CloneFor(clone *Circuit) *OP {
-	return &OP{c: clone, volts: append([]float64(nil), op.volts...), stats: op.stats}
+	return &OP{c: clone, volts: append([]float64(nil), op.volts...)}
 }
 
 // Voltage returns the voltage of a named node.
@@ -1127,10 +784,6 @@ func (op *OP) Voltage(name string) (float64, error) {
 
 // VoltageAt returns the voltage of node i.
 func (op *OP) VoltageAt(i int) float64 { return op.volts[i] }
-
-// Stats reports the iterative-solver statistics of the solve (zero for the
-// direct dense path, which is exact).
-func (op *OP) Stats() solver.Stats { return op.stats }
 
 // ResistorCurrent returns the current (A) through resistor i, positive from
 // terminal A to terminal B; zero when disabled.

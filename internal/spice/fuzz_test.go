@@ -2,14 +2,15 @@ package spice
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
 
-// FuzzParseValue: the value parser must never panic and must round-trip
-// through formatting for accepted inputs.
+// FuzzParseValue: the value parser must never panic, and every value it
+// accepts must be finite.
 func FuzzParseValue(f *testing.F) {
-	for _, seed := range []string{"1", "1.5k", "-2e-3", "3MEG", "10u", "zzz", "", "k", "1e", "-", "1meg"} {
+	for _, seed := range []string{"1", "1.5k", "-2e-3", "3MEG", "10u", "zzz", "", "k", "1e", "-", "1meg", "nank", "infk", "1e308k"} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
@@ -17,8 +18,8 @@ func FuzzParseValue(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if v != v && !strings.Contains(strings.ToLower(s), "nan") {
-			t.Errorf("ParseValue(%q) = NaN without nan in input", s)
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Errorf("ParseValue(%q) = %g, want a finite value or an error", s, v)
 		}
 	})
 }

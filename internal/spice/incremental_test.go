@@ -6,6 +6,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"emvia/internal/solver"
+	"emvia/internal/sparse"
 )
 
 // meshNetlist builds an n×n unit-resistance mesh with a 1 V pad at the
@@ -65,9 +68,9 @@ func meshFailures(t *testing.T, n int) []int {
 }
 
 // solveAll returns every node voltage of a fresh solve.
-func solveAll(t *testing.T, c *Circuit, prev *OP) (*OP, []float64) {
+func solveAll(t *testing.T, c *Circuit) (*OP, []float64) {
 	t.Helper()
-	op, err := c.SolveDC(prev)
+	op, err := c.SolveDC(nil)
 	if err != nil {
 		t.Fatalf("SolveDC: %v", err)
 	}
@@ -79,10 +82,11 @@ func solveAll(t *testing.T, c *Circuit, prev *OP) (*OP, []float64) {
 }
 
 // crossCheckIncremental drives one circuit through a 20-failure sequence
-// with incremental re-solves and, at 1, 5 and 20 failures, compares every
-// node voltage against a freshly compiled circuit that receives the same
-// failures cold. The two must agree to 1e-10 (relative).
-func crossCheckIncremental(t *testing.T, configure func(c *Circuit)) {
+// with incremental re-solves, which refactor its private factor after each
+// failure, and at 1, 5 and 20 failures compares every free-node voltage
+// against reference, which solves a freshly compiled circuit that received
+// the same failures cold. The two must agree to 1e-10 (relative).
+func crossCheckIncremental(t *testing.T, reference func(t *testing.T, cold *Circuit) []float64) {
 	t.Helper()
 	nl := meshNetlist(t, 10)
 	failures := meshFailures(t, 10)
@@ -90,29 +94,30 @@ func crossCheckIncremental(t *testing.T, configure func(c *Circuit)) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	configure(inc)
-	op, _ := solveAll(t, inc, nil) // pristine warm-up solve
+	solveAll(t, inc) // pristine warm-up solve
+	vInc := make([]float64, inc.NumFree())
 	milestones := map[int]bool{1: true, 5: true, 20: true}
 	for k, ri := range failures {
 		if err := inc.DisableResistor(ri); err != nil {
 			t.Fatalf("failure %d (R index %d): %v", k+1, ri, err)
 		}
-		var vInc []float64
-		op, vInc = solveAll(t, inc, op)
+		op, _ := solveAll(t, inc)
 		if !milestones[k+1] {
 			continue
+		}
+		if err := inc.GatherFree(vInc, op); err != nil {
+			t.Fatal(err)
 		}
 		cold, err := Compile(nl)
 		if err != nil {
 			t.Fatal(err)
 		}
-		configure(cold)
 		for _, rj := range failures[:k+1] {
 			if err := cold.DisableResistor(rj); err != nil {
 				t.Fatal(err)
 			}
 		}
-		_, vCold := solveAll(t, cold, nil)
+		vCold := reference(t, cold)
 		worst := 0.0
 		for i := range vInc {
 			d := math.Abs(vInc[i]-vCold[i]) / (1 + math.Abs(vCold[i]))
@@ -127,65 +132,96 @@ func crossCheckIncremental(t *testing.T, configure func(c *Circuit)) {
 	}
 }
 
-func TestIncrementalMatchesColdDirect(t *testing.T) {
-	// The cold reference circuit applies its edits before the first solve,
-	// so it stays on the CG path (the direct factor only activates after a
-	// post-compile edit); the tight tolerance keeps the reference within the
-	// comparison budget of the exact rank-one-updated factor.
-	crossCheckIncremental(t, func(c *Circuit) {
-		c.DirectMaxNodes = 1024 // force the dense rank-one update path
-		c.Tol = 1e-13
-	})
+// compiledSystem solves c once so that its compiled free-node matrix and
+// right-hand side reflect every edit made so far, and returns them.
+func compiledSystem(t *testing.T, c *Circuit) (*sparse.CSR, []float64) {
+	t.Helper()
+	solveAll(t, c)
+	return c.asm.mat, c.asm.rhs
 }
 
-func TestIncrementalMatchesColdCG(t *testing.T) {
-	crossCheckIncremental(t, func(c *Circuit) {
-		c.DirectMaxNodes = -1 // force the preconditioned CG path
-		c.Tol = 1e-13
-	})
-}
-
-// TestIncrementalMatchesColdSparse pins the sparse edit path against a cold
-// compile: the incremental circuit refactors its private factor after each
-// of 20 failures while the reference compiles the failed netlist from
-// scratch at each milestone.
+// TestIncrementalMatchesColdSparse checks the incremental path against a
+// cold circuit solved on its own sparse factor.
 func TestIncrementalMatchesColdSparse(t *testing.T) {
-	crossCheckIncremental(t, func(c *Circuit) {
-		c.Solver = SolverSparse
+	crossCheckIncremental(t, func(t *testing.T, cold *Circuit) []float64 {
+		op, _ := solveAll(t, cold)
+		v := make([]float64, cold.NumFree())
+		if err := cold.GatherFree(v, op); err != nil {
+			t.Fatal(err)
+		}
+		return v
 	})
 }
 
-// TestSolverBackendsAgree solves the same pristine mesh on every backend and
-// compares all node voltages pairwise. The direct backends are exact; CG at
-// Tol 1e-13 must land within 1e-8 of them.
-func TestSolverBackendsAgree(t *testing.T) {
-	nl := meshNetlist(t, 10)
-	volts := map[string][]float64{}
-	for _, mode := range []SolverMode{SolverDense, SolverSparse, SolverCG} {
-		c, err := Compile(nl)
+// TestIncrementalMatchesColdDirect checks the incremental path against a
+// dense Cholesky reference factored from the cold circuit's compiled matrix,
+// a direct solve that shares no code with the sparse factors.
+func TestIncrementalMatchesColdDirect(t *testing.T) {
+	crossCheckIncremental(t, func(t *testing.T, cold *Circuit) []float64 {
+		a, b := compiledSystem(t, cold)
+		ref, err := solver.NewDenseCholeskyFromCSR(a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.Solver = mode
-		c.Tol = 1e-13
-		_, v := solveAll(t, c, nil)
-		if got := c.SolverBackend(); got != mode.String() {
-			t.Errorf("SolverBackend() = %q after solving with %v", got, mode)
+		v, err := ref.Solve(b)
+		if err != nil {
+			t.Fatal(err)
 		}
-		volts[mode.String()] = v
+		return v
+	})
+}
+
+// TestIncrementalMatchesColdCG checks the incremental path against an
+// IC(0)-preconditioned CG solve of the cold circuit's compiled matrix at a
+// 1e-13 residual, an iterative reference independent of any factorization.
+func TestIncrementalMatchesColdCG(t *testing.T) {
+	crossCheckIncremental(t, func(t *testing.T, cold *Circuit) []float64 {
+		a, b := compiledSystem(t, cold)
+		m, err := solver.NewIC0(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, _, err := solver.CG(a, b, solver.Options{Tol: 1e-13, M: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	})
+}
+
+// TestSolverBackendsAgree checks the circuit's solve of a pristine mesh
+// against a dense Cholesky reference factored from the same compiled
+// matrix: every free-node voltage must agree to 1e-10 (relative).
+func TestSolverBackendsAgree(t *testing.T) {
+	c, err := Compile(meshNetlist(t, 10))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, pair := range [][2]string{{"dense", "sparse"}, {"dense", "cg"}, {"sparse", "cg"}} {
-		va, vb := volts[pair[0]], volts[pair[1]]
-		worst := 0.0
-		for i := range va {
-			if d := math.Abs(va[i]-vb[i]) / (1 + math.Abs(vb[i])); d > worst {
-				worst = d
-			}
+	op, _ := solveAll(t, c)
+	if got := c.SolverBackend(); got != "sparse" {
+		t.Errorf("SolverBackend() = %q for %d free nodes, want sparse", got, c.NumFree())
+	}
+	ref, err := solver.NewDenseCholeskyFromCSR(c.asm.mat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Solve(c.asm.rhs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]float64, c.NumFree())
+	if err := c.GatherFree(got, op); err != nil {
+		t.Fatal(err)
+	}
+	worst := 0.0
+	for i := range want {
+		if d := math.Abs(got[i]-want[i]) / (1 + math.Abs(want[i])); d > worst {
+			worst = d
 		}
-		t.Logf("%s vs %s: worst relative deviation %.2e", pair[0], pair[1], worst)
-		if worst > 1e-8 {
-			t.Errorf("%s and %s disagree by %g, want ≤ 1e-8", pair[0], pair[1], worst)
-		}
+	}
+	t.Logf("sparse vs dense reference: worst relative deviation %.2e", worst)
+	if worst > 1e-10 {
+		t.Errorf("sparse solve deviates from the dense reference by %g, want ≤ 1e-10", worst)
 	}
 }
 
@@ -199,14 +235,13 @@ func TestCloneBitIdenticalSparse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	master.Solver = SolverSparse
-	opM, _ := solveAll(t, master, nil) // builds the shared factor
+	solveAll(t, master) // builds the shared factor
 	clone := master.Clone()
 	if got, want := clone.SolverBackend(), master.SolverBackend(); got != want {
 		t.Fatalf("clone backend %q, master %q", got, want)
 	}
-	opC, vC := solveAll(t, clone, nil)
-	_, vM := solveAll(t, master, opM)
+	_, vC := solveAll(t, clone)
+	_, vM := solveAll(t, master)
 	for i := range vM {
 		if vM[i] != vC[i] {
 			t.Fatalf("pristine node %d: master %v clone %v (not bit-identical)", i, vM[i], vC[i])
@@ -219,8 +254,8 @@ func TestCloneBitIdenticalSparse(t *testing.T) {
 		if err := clone.DisableResistor(ri); err != nil {
 			t.Fatal(err)
 		}
-		opM, vM = solveAll(t, master, opM)
-		opC, vC = solveAll(t, clone, opC)
+		_, vM = solveAll(t, master)
+		_, vC = solveAll(t, clone)
 		for i := range vM {
 			if vM[i] != vC[i] {
 				t.Fatalf("step %d node %d: master %v clone %v (not bit-identical)", step, i, vM[i], vC[i])
@@ -230,8 +265,8 @@ func TestCloneBitIdenticalSparse(t *testing.T) {
 	// Per-trial reset must restore both to the same pristine state.
 	master.ResetResistors()
 	clone.ResetResistors()
-	_, vM = solveAll(t, master, nil)
-	_, vC = solveAll(t, clone, nil)
+	_, vM = solveAll(t, master)
+	_, vC = solveAll(t, clone)
 	for i := range vM {
 		if vM[i] != vC[i] {
 			t.Fatalf("post-reset node %d: master %v clone %v", i, vM[i], vC[i])
@@ -249,8 +284,7 @@ func TestClonesShareSparseFactorConcurrently(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	master.Solver = SolverSparse
-	_, want0 := solveAll(t, master, nil)
+	_, want0 := solveAll(t, master)
 	clones := make([]*Circuit, 4)
 	for i := range clones {
 		clones[i] = master.Clone()
@@ -264,7 +298,7 @@ func TestClonesShareSparseFactorConcurrently(t *testing.T) {
 	if err := master.DisableResistor(ri); err != nil {
 		t.Fatal(err)
 	}
-	_, want1 := solveAll(t, master, nil)
+	_, want1 := solveAll(t, master)
 
 	same := func(a, b []float64) bool {
 		for i := range a {
@@ -326,8 +360,7 @@ func TestSetCurrentMatchesRecompile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Solver = SolverSparse
-	solveAll(t, c, nil)
+	solveAll(t, c)
 	if got, want := c.NumCurrents(), len(nl.Currents); got != want {
 		t.Fatalf("NumCurrents() = %d, want %d", got, want)
 	}
@@ -337,7 +370,7 @@ func TestSetCurrentMatchesRecompile(t *testing.T) {
 		}
 	}
 	c.ResetResistors() // must keep the new loads
-	_, vGot := solveAll(t, c, nil)
+	_, vGot := solveAll(t, c)
 
 	edited := *nl
 	edited.Currents = append([]CurrentSource(nil), nl.Currents...)
@@ -348,8 +381,7 @@ func TestSetCurrentMatchesRecompile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref.Solver = SolverSparse
-	_, vWant := solveAll(t, ref, nil)
+	_, vWant := solveAll(t, ref)
 	for i := range vGot {
 		if d := math.Abs(vGot[i]-vWant[i]) / (1 + math.Abs(vWant[i])); d > 1e-10 {
 			t.Fatalf("node %d: pushed %g vs recompiled %g (rel %g)", i, vGot[i], vWant[i], d)
@@ -370,15 +402,14 @@ func TestSparseBulkEditRefactors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Solver = SolverSparse
-	solveAll(t, c, nil)
+	solveAll(t, c)
 	// Rescale every resistor: a bulk edit between two solves.
 	for i := range nl.Resistors {
 		if err := c.SetResistor(i, nl.Resistors[i].Ohms*1.31); err != nil {
 			t.Fatal(err)
 		}
 	}
-	opGot, vGot := solveAll(t, c, nil)
+	opGot, vGot := solveAll(t, c)
 	if r, err := c.Residual(opGot); err != nil || r > 1e-12 {
 		t.Fatalf("bulk-edited solve residual %g (%v)", r, err)
 	}
@@ -392,8 +423,7 @@ func TestSparseBulkEditRefactors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pristine.Solver = SolverSparse
-	solveAll(t, pristine, nil)
+	solveAll(t, pristine)
 	az := pristine.asm.mat.MulVec(z)
 	fa, fb, _, _ := c.ResistorTerms(0)
 	for i, v := range az {
@@ -418,8 +448,7 @@ func TestSparseBulkEditRefactors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref.Solver = SolverSparse
-	_, vWant := solveAll(t, ref, nil)
+	_, vWant := solveAll(t, ref)
 	for i := range vGot {
 		if d := math.Abs(vGot[i]-vWant[i]) / (1 + math.Abs(vWant[i])); d > 1e-10 {
 			t.Fatalf("node %d: bulk-edited %g vs recompiled %g (rel %g)", i, vGot[i], vWant[i], d)
@@ -436,8 +465,7 @@ func TestResidualFlagsPerturbation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Solver = SolverSparse
-	op, _ := solveAll(t, c, nil)
+	op, _ := solveAll(t, c)
 	r0, err := c.Residual(op)
 	if err != nil {
 		t.Fatal(err)
@@ -459,8 +487,7 @@ func TestResidualFlagsPerturbation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	edited.Solver = SolverSparse
-	solveAll(t, edited, nil)
+	solveAll(t, edited)
 	if err := edited.DisableResistor(meshFailures(t, 10)[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -470,15 +497,13 @@ func TestResidualFlagsPerturbation(t *testing.T) {
 	if _, err := c.Residual(&OP{}); err == nil {
 		t.Fatal("Residual accepted an operating point of the wrong size")
 	}
-	dense, err := Compile(nl)
+	unsolved, err := Compile(nl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense.Solver = SolverDense
-	solveAll(t, dense, nil)
-	n := dense.NumFree()
-	if err := dense.SolveEdge(make([]float64, n), 0, make([]float64, n)); err == nil {
-		t.Fatal("SolveEdge ran without a sparse pristine factor")
+	n := unsolved.NumFree()
+	if err := unsolved.SolveEdge(make([]float64, n), 0, make([]float64, n)); err == nil {
+		t.Fatal("SolveEdge ran without a pristine factor")
 	}
 }
 
@@ -516,29 +541,27 @@ func TestSetResistorReenablesDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Tol = 1e-13
-	op, _ := solveAll(t, c, nil)
+	solveAll(t, c)
 	if err := c.DisableResistor(5); err != nil {
 		t.Fatal(err)
 	}
-	op, _ = solveAll(t, c, op)
+	solveAll(t, c)
 	if err := c.SetResistor(5, 2.5); err != nil {
 		t.Fatal(err)
 	}
 	if c.ResistorDisabled(5) {
 		t.Fatal("resistor still disabled after SetResistor")
 	}
-	_, vGot := solveAll(t, c, op)
+	_, vGot := solveAll(t, c)
 
 	ref, err := Compile(nl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref.Tol = 1e-13
 	if err := ref.SetResistor(5, 2.5); err != nil {
 		t.Fatal(err)
 	}
-	_, vWant := solveAll(t, ref, nil)
+	_, vWant := solveAll(t, ref)
 	for i := range vGot {
 		if d := math.Abs(vGot[i]-vWant[i]) / (1 + math.Abs(vWant[i])); d > 1e-9 {
 			t.Fatalf("node %d: re-enabled %g vs fresh %g (rel %g)", i, vGot[i], vWant[i], d)
@@ -555,11 +578,9 @@ func TestResetResistorsRestoresPristine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op0, _ := solveAll(t, c, nil) // cold compile + solve
-	// A reset right after the pristine solve builds and snapshots the exact
-	// pristine factor, so both compared solves below use the direct path.
+	solveAll(t, c) // cold compile + solve
 	c.ResetResistors()
-	_, v0 := solveAll(t, c, op0)
+	_, v0 := solveAll(t, c)
 	for _, ri := range []int{1, 7, 12} {
 		if err := c.DisableResistor(ri); err != nil {
 			t.Fatal(err)
@@ -568,14 +589,14 @@ func TestResetResistorsRestoresPristine(t *testing.T) {
 	if err := c.SetResistor(20, 9); err != nil {
 		t.Fatal(err)
 	}
-	op, _ := solveAll(t, c, nil)
+	solveAll(t, c)
 	c.ResetResistors()
 	for _, ri := range []int{1, 7, 12} {
 		if c.ResistorDisabled(ri) {
 			t.Fatalf("resistor %d still disabled after reset", ri)
 		}
 	}
-	_, v1 := solveAll(t, c, op)
+	_, v1 := solveAll(t, c)
 	for i := range v0 {
 		if d := math.Abs(v1[i]-v0[i]) / (1 + math.Abs(v0[i])); d > 1e-10 {
 			t.Fatalf("node %d: post-reset %g vs pristine %g", i, v1[i], v0[i])
@@ -583,100 +604,49 @@ func TestResetResistorsRestoresPristine(t *testing.T) {
 	}
 }
 
-// TestGenerationCounter checks that every topology edit bumps the
-// generation, which SolveDC uses to invalidate cached state.
-func TestGenerationCounter(t *testing.T) {
-	nl := meshNetlist(t, 8)
-	c, err := Compile(nl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.SolveDC(nil); err != nil {
-		t.Fatal(err)
-	}
-	g0 := c.Generation()
-	if err := c.DisableResistor(2); err != nil {
-		t.Fatal(err)
-	}
-	if c.Generation() != g0+1 {
-		t.Errorf("generation after disable = %d, want %d", c.Generation(), g0+1)
-	}
-	// Re-disabling is an idempotent no-op and must not advance the
-	// generation.
-	if err := c.DisableResistor(2); err != nil {
-		t.Fatal(err)
-	}
-	if c.Generation() != g0+1 {
-		t.Errorf("generation after repeated disable = %d, want %d", c.Generation(), g0+1)
-	}
-	if err := c.SetResistor(2, 1); err != nil {
-		t.Fatal(err)
-	}
-	if c.Generation() != g0+2 {
-		t.Errorf("generation after re-enable = %d, want %d", c.Generation(), g0+2)
-	}
-	c.ResetResistors()
-	if c.Generation() != g0+3 {
-		t.Errorf("generation after reset = %d, want %d", c.Generation(), g0+3)
-	}
-}
-
-// TestSolveDCIncrementalAllocs is the allocation budget of the Monte-Carlo
-// hot path: once the solver is warm, a disable → re-solve → re-enable cycle
-// must not touch the heap, on either solve path.
+// TestSolveDCIncrementalAllocs is the allocation budget of a re-solving
+// circuit: once the private factor exists, a disable → re-solve → re-enable
+// → re-solve cycle must not touch the heap. There is one subtest per circuit
+// factor, named as SolverBackend reports it.
 func TestSolveDCIncrementalAllocs(t *testing.T) {
 	for _, tc := range []struct {
-		name      string
-		configure func(c *Circuit)
+		backend string
+		mesh    int
 	}{
-		{"direct", func(c *Circuit) { c.DirectMaxNodes = 1024 }},
-		{"sparse", func(c *Circuit) { c.Solver = SolverSparse }},
-		{"cg", func(c *Circuit) { c.DirectMaxNodes = -1 }},
+		{"sparse", 10},
+		{"supernodal", 46}, // 2115 free nodes, above the supernodal threshold
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			nl := meshNetlist(t, 10)
-			c, err := Compile(nl)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tc.configure(c)
-			prev, err := c.SolveDC(nil)
+		t.Run(tc.backend, func(t *testing.T) {
+			c, err := Compile(meshNetlist(t, tc.mesh))
 			if err != nil {
 				t.Fatal(err)
 			}
 			dst := c.NewOP()
-			// Warm-up: trigger lazy factor construction / preconditioner
-			// refresh so steady state is reached before counting.
-			for i := 0; i < 3; i++ {
+			cycle := func() {
 				if err := c.DisableResistor(4); err != nil {
 					t.Fatal(err)
 				}
-				if err := c.SolveDCInto(dst, prev); err != nil {
+				if err := c.SolveDCInto(dst); err != nil {
 					t.Fatal(err)
 				}
 				if err := c.SetResistor(4, 1); err != nil {
 					t.Fatal(err)
 				}
-				if err := c.SolveDCInto(dst, prev); err != nil {
+				if err := c.SolveDCInto(dst); err != nil {
 					t.Fatal(err)
 				}
 			}
-			allocs := testing.AllocsPerRun(50, func() {
-				if err := c.DisableResistor(4); err != nil {
-					t.Fatal(err)
-				}
-				if err := c.SolveDCInto(dst, prev); err != nil {
-					t.Fatal(err)
-				}
-				if err := c.SetResistor(4, 1); err != nil {
-					t.Fatal(err)
-				}
-				if err := c.SolveDCInto(dst, prev); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs != 0 {
-				t.Errorf("%s hot loop allocates %.1f objects per cycle, want 0", tc.name, allocs)
+			// Warm-up: the first solve builds the pristine factor, the first
+			// edited solve its private copy.
+			if err := c.SolveDCInto(dst); err != nil {
+				t.Fatal(err)
+			}
+			if got := c.SolverBackend(); got != tc.backend {
+				t.Fatalf("SolverBackend() = %q for %d free nodes, want %q", got, c.NumFree(), tc.backend)
+			}
+			cycle()
+			if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+				t.Errorf("hot loop allocates %.1f objects per cycle, want 0", allocs)
 			}
 		})
 	}

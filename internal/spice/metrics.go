@@ -9,10 +9,7 @@ import "emvia/internal/telemetry"
 type circuitMetrics struct {
 	slotEdits     *telemetry.Counter
 	resets        *telemetry.Counter
-	directSolves  *telemetry.Counter
 	sparseSolves  *telemetry.Counter
-	cgSolves      *telemetry.Counter
-	refreshes     *telemetry.Counter
 	edgeSolves    *telemetry.Counter
 	refactors     *telemetry.Counter
 	factorSeconds *telemetry.Histogram
@@ -26,10 +23,7 @@ func newCircuitMetrics() circuitMetrics {
 	return circuitMetrics{
 		slotEdits:     r.Counter(telemetry.SpiceSlotEdits),
 		resets:        r.Counter(telemetry.SpiceResets),
-		directSolves:  r.Counter(telemetry.SpiceDirectSolves),
 		sparseSolves:  r.Counter(telemetry.SpiceSparseSolves),
-		cgSolves:      r.Counter(telemetry.SpiceCGSolves),
-		refreshes:     r.Counter(telemetry.SpicePrecondRefreshes),
 		edgeSolves:    r.Counter(telemetry.SpiceCascadeEdgeSolves),
 		refactors:     r.Counter(telemetry.SpiceCascadeRefactors),
 		factorSeconds: r.Histogram(telemetry.SpiceFactorSeconds),

@@ -2,13 +2,14 @@
 // analysis: netlists of resistors, independent current sources (loads) and
 // ground-referenced voltage sources (pads), in the dialect of the IBM power
 // grid benchmarks [Nassif, ASP-DAC'08], plus a DC operating-point solver
-// based on nodal analysis over the shared sparse/CG stack.
+// based on nodal analysis and sparse Cholesky factorization.
 package spice
 
 import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -168,6 +169,8 @@ func (nl *Netlist) Nodes() []string {
 
 // ParseValue parses a SPICE number with an optional scale suffix
 // (f p n u m k meg g t, case-insensitive; "m" is milli, "meg" is mega).
+// Values that are not finite after scaling (nan, inf, overflow) are
+// rejected.
 func ParseValue(s string) (float64, error) {
 	low := strings.ToLower(s)
 	mult := 1.0
@@ -196,5 +199,9 @@ func ParseValue(s string) (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("spice: bad numeric value %q", s)
 	}
-	return v * mult, nil
+	v *= mult
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("spice: numeric value %q is not finite", s)
+	}
+	return v, nil
 }

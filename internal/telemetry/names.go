@@ -10,30 +10,24 @@ const (
 	CGIterations    = "solver.cg.iterations"
 	CGItersPerSolve = "solver.cg.iterations_per_solve"
 
-	// internal/solver — dense Cholesky (the direct re-solve path).
+	// internal/solver — dense Cholesky (via-array networks).
 	DenseFactorizations = "solver.dense.factorizations"
-	DenseUpdates        = "solver.dense.updates"
-	DenseDowndates      = "solver.dense.downdates"
 	DenseSolves         = "solver.dense.solves"
 
-	// internal/solver — sparse Cholesky (the large-grid direct path).
+	// internal/solver — sparse Cholesky (the circuit solve path).
 	SparseFactorizations = "solver.sparse.factorizations"
 	SparseSolves         = "solver.sparse.solves"
 
 	// internal/spice — the incremental re-solve engine.
-	SpiceCompiles         = "spice.compiles"
-	SpiceSlotEdits        = "spice.slot_edits"
-	SpiceResets           = "spice.resets"
-	SpiceDirectSolves     = "spice.solves.direct"
-	SpiceSparseSolves     = "spice.solves.sparse"
-	SpiceCGSolves         = "spice.solves.cg"
-	SpicePrecondRefreshes = "spice.precond.refreshes"
-	SpiceFactorSeconds    = "spice.sparse.factor_seconds"
-	// Factor-once failure cascades on the sparse backend: EdgeSolves counts
-	// the correction solves against the shared pristine factor (one per
-	// Sherman–Morrison update); Refactors counts refactorizations of an
-	// edited matrix, which a cascade only pays on its near-islanding
-	// fallback.
+	SpiceCompiles      = "spice.compiles"
+	SpiceSlotEdits     = "spice.slot_edits"
+	SpiceResets        = "spice.resets"
+	SpiceSparseSolves  = "spice.solves.sparse"
+	SpiceFactorSeconds = "spice.sparse.factor_seconds"
+	// Factor-once failure cascades: EdgeSolves counts the correction solves
+	// against the shared pristine factor (one per Sherman–Morrison update);
+	// Refactors counts refactorizations of an edited matrix, which a
+	// cascade only pays on its near-islanding fallback.
 	SpiceCascadeEdgeSolves = "spice.cascade.edge_solves"
 	SpiceCascadeRefactors  = "spice.cascade.refactors"
 

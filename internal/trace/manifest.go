@@ -32,10 +32,6 @@ type Manifest struct {
 	Seed    int64 `json:"seed,omitempty"`
 	Trials  int   `json:"trials,omitempty"`
 	Workers int   `json:"workers,omitempty"`
-	// Solver records the linear-solver backend the run selected (auto/
-	// dense/sparse/cg) — results can shift at the iterative-tolerance level
-	// when the backend changes, so it is part of provenance.
-	Solver string `json:"solver,omitempty"`
 	// Engine records the analysis engine (mc, steady, both): a screened run
 	// ("both") prunes the Monte Carlo to the steady mortal subset, so the
 	// engine choice is part of result provenance.
