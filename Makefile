@@ -10,7 +10,9 @@ test:
 
 # check is the CI gate: static analysis plus the race detector over every
 # package with parallel execution — the Monte-Carlo loops sharing solver
-# state and the parallel FEA pipeline (pool, assembly, CG kernels, caches).
+# state, the supernodal factor's worker pool, the stress caches and the
+# service — and over the FEA packages, whose serial solves the analyzers
+# and the service run from concurrent goroutines.
 check:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/mc ./internal/pdn ./internal/par ./internal/fem \
@@ -31,7 +33,7 @@ lint:
 # which measures them at a reduced -benchtime.
 bench:
 	$(GO) test -run '^$$' \
-	    -bench 'BenchmarkFig10GridCDF|BenchmarkTable2GridTTF|BenchmarkSparseCholeskyFactor|BenchmarkFig1StressProfile|BenchmarkFig6Patterns|BenchmarkFig7ArraySize|BenchmarkFEAWorkers|BenchmarkStressCacheWarm' \
+	    -bench 'BenchmarkFig10GridCDF|BenchmarkTable2GridTTF|BenchmarkSparseCholeskyFactor|BenchmarkFig1StressProfile|BenchmarkFig6Patterns|BenchmarkFig7ArraySize|BenchmarkFEASolve|BenchmarkStressCacheWarm' \
 	    -benchmem -benchtime=100x -count=1 .
 	$(GO) test -run '^$$' \
 	    -bench 'BenchmarkGridSolve/^nx(10|20|40|80)$$' \

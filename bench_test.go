@@ -8,7 +8,6 @@ package emvia_test
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -131,34 +130,27 @@ func BenchmarkFig7ArraySize(b *testing.B) {
 	b.ReportMetric(innerDelta, "MPa-inner-gain")
 }
 
-// BenchmarkFEAWorkers measures worker-count scaling of one 4×4-array FEA
-// characterization (assembly + CG + stress recovery). The paper metric is
-// bit-identical across sub-benchmarks by the deterministic-kernel design, so
-// only the wall clock may move.
-func BenchmarkFEAWorkers(b *testing.B) {
+// BenchmarkFEASolve measures one FEA characterization (assembly, IC(0)
+// factor, CG, stress recovery) of a Plus array at table2's -fast mesh, for
+// both array sizes table2 characterizes. The CG iteration count and nnz(A)
+// it reports fix the work of a solve, so a change in ns/op at equal counts
+// is a change in kernel speed.
+func BenchmarkFEASolve(b *testing.B) {
 	a := benchAnalyzer()
-	nmax := runtime.GOMAXPROCS(0)
-	seen := make(map[int]bool)
-	for _, w := range []int{1, 2, 4, nmax} {
-		if seen[w] {
-			continue
-		}
-		seen[w] = true
-		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
-			opt := a.FEA
-			opt.Workers = w
-			var peak float64
+	for _, n := range []int{4, 8} {
+		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
+			p := a.Base
+			p.ArrayN = n
+			p.Pattern = cudd.Plus
+			var res *cudd.Result
 			for i := 0; i < b.N; i++ {
-				p := a.Base
-				p.ArrayN = 4
-				p.Pattern = cudd.Plus
-				res, err := cudd.Characterize(p, opt)
-				if err != nil {
+				var err error
+				if res, err = cudd.Characterize(p, a.FEA); err != nil {
 					b.Fatal(err)
 				}
-				peak = res.MaxPeak() / phys.MPa
 			}
-			b.ReportMetric(peak, "MPa-peak")
+			b.ReportMetric(float64(res.FEM.Stats.Iterations), "cg-iters")
+			b.ReportMetric(float64(res.FEM.NNZ), "nnz")
 		})
 	}
 }

@@ -130,14 +130,12 @@ Every trace/metrics artifact gets a <file>.manifest.json provenance record.
 Run 'emgrid <subcommand> -h' for flags.`)
 }
 
-// femFlags registers the FEA tuning flags shared by every subcommand that
-// runs stress characterization, and returns a hook applying them to the
-// analyzer after flag parsing.
+// femFlags registers the FEA flags shared by every subcommand that runs
+// stress characterization, and returns a hook applying them to the analyzer
+// after flag parsing.
 func femFlags(fs *flag.FlagSet) func(a *core.Analyzer) error {
-	j := fs.Int("j", 0, "FEA worker goroutines, 0 = GOMAXPROCS (results are bit-identical for any value)")
 	cache := fs.String("stresscache", "", `persistent stress cache: a directory, or "auto" for the default location (EMVIA_STRESS_CACHE or the user cache dir)`)
 	return func(a *core.Analyzer) error {
-		a.FEA.Workers = *j
 		if *cache == "" {
 			return nil
 		}

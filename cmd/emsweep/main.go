@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	emsweep [-delta 0.1] [-trials 400] [-array 4] [-fast] [-conc N] [-j N] [-stresscache DIR]
+//	emsweep [-delta 0.1] [-trials 400] [-array 4] [-fast] [-conc N] [-stresscache DIR]
 package main
 
 import (
@@ -63,7 +63,6 @@ func main() {
 	arrayN := flag.Int("array", 4, "via-array configuration n (n×n)")
 	fast := flag.Bool("fast", false, "coarse FEA meshes")
 	seed := flag.Int64("seed", 2017, "random seed")
-	workers := flag.Int("j", 0, "FEA worker goroutines, 0 = GOMAXPROCS (results are bit-identical for any value)")
 	stressCache := flag.String("stresscache", "", `persistent stress cache: a directory, or "auto" for the default location (EMVIA_STRESS_CACHE or the user cache dir)`)
 	conc := flag.Int("conc", 0, "knobs evaluated concurrently (0 = GOMAXPROCS)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -101,7 +100,6 @@ func main() {
 			a.Base.StepOutside = 0.5 * phys.Micron
 			a.Base.StepZBulk = 1.0 * phys.Micron
 		}
-		a.FEA.Workers = *workers
 		if *stressCache != "" {
 			dir := *stressCache
 			if dir == "auto" {

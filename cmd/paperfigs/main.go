@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	paperfigs [-fig all|t1|1|6|7|8a|8b|9|10|t2] [-trials N] [-gridtrials N] [-fast] [-j N] [-stresscache DIR]
+//	paperfigs [-fig all|t1|1|6|7|8a|8b|9|10|t2] [-trials N] [-gridtrials N] [-fast] [-stresscache DIR]
 //
 // Output is printed as labelled data series (and ASCII plots) whose shape is
 // directly comparable to the paper's plots; EXPERIMENTS.md records a full
@@ -32,7 +32,6 @@ type options struct {
 	gridTrials  int
 	fast        bool
 	seed        int64
-	workers     int
 	stressCache string
 	// engine is the resolved -engine value (mc or both); the grid
 	// experiments pass it through to core.GridAnalysis, so "both" runs the
@@ -48,7 +47,6 @@ func main() {
 	flag.IntVar(&opt.gridTrials, "gridtrials", 500, "Monte-Carlo trials for power-grid analysis")
 	flag.BoolVar(&opt.fast, "fast", false, "coarse FEA meshes and smaller grids (quick smoke run)")
 	flag.Int64Var(&opt.seed, "seed", 2017, "base random seed")
-	flag.IntVar(&opt.workers, "j", 0, "FEA worker goroutines, 0 = GOMAXPROCS (results are bit-identical for any value)")
 	flag.StringVar(&opt.stressCache, "stresscache", "", `persistent stress cache: a directory, or "auto" for the default location (EMVIA_STRESS_CACHE or the user cache dir)`)
 	var obs cliobs.Config
 	obs.RegisterFlags(flag.CommandLine)
@@ -128,7 +126,6 @@ func newAnalyzer(opt options) *core.Analyzer {
 		a.Base.StepOutside = 0.5 * phys.Micron
 		a.Base.StepZBulk = 1.0 * phys.Micron
 	}
-	a.FEA.Workers = opt.workers
 	if opt.stressCache != "" {
 		dir := opt.stressCache
 		if dir == "auto" {

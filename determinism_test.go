@@ -1,8 +1,7 @@
 // Cross-package determinism matrix: one table test asserting that every
 // parallel execution path in the pipeline — the Monte-Carlo engine at both
-// hierarchy levels and the FEA assembly/CG kernels — returns results
-// bit-identical to the serial path from the same seed, for a spread of
-// worker counts. The per-package tests pin individual kernels; this test
+// hierarchy levels — returns results bit-identical to the serial path from
+// the same seed, for a spread of worker counts. The per-package tests pin individual kernels; this test
 // pins the composed pipeline, so a future scheduling-dependent reduction
 // anywhere in the stack fails loudly.
 package emvia_test
@@ -13,7 +12,6 @@ import (
 	"testing"
 
 	"emvia/internal/cudd"
-	"emvia/internal/fem"
 	"emvia/internal/mc"
 	"emvia/internal/pdn"
 	"emvia/internal/phys"
@@ -25,10 +23,6 @@ import (
 // fewer-than, equal-to, and more-than the trial-batch sweet spots, including
 // worker counts that exceed GOMAXPROCS on small machines.
 var mcWorkerCounts = []int{1, 2, 4, 8}
-
-// femWorkerCounts is the worker matrix for the FEA assembly/CG kernels,
-// deliberately including odd counts that split rows unevenly.
-var femWorkerCounts = []int{1, 3, 7}
 
 // requireSameResult asserts exact (bit-level) equality of two mc.Results.
 func requireSameResult(t *testing.T, label string, got, want *mc.Result) {
@@ -200,36 +194,6 @@ func TestDeterminismMatrixGridMCSparse(t *testing.T) {
 			t.Fatalf("Workers=%d: %v", w, err)
 		}
 		requireSameResult(t, "grid sparse Workers="+strconv.Itoa(w), res, ref)
-	}
-}
-
-// TestDeterminismMatrixFEA pins the FEA characterization path end to end
-// (meshing, parallel assembly, CG, stress recovery): the peak-stress map of
-// a 2×2 Plus array must be bit-identical for every worker count.
-func TestDeterminismMatrixFEA(t *testing.T) {
-	a := benchAnalyzer()
-	p := a.Base
-	p.ArrayN = 2
-	p.Pattern = cudd.Plus
-
-	var ref *cudd.Result
-	for _, w := range femWorkerCounts {
-		res, err := cudd.Characterize(p, fem.SolveOptions{Workers: w})
-		if err != nil {
-			t.Fatalf("Workers=%d: %v", w, err)
-		}
-		if ref == nil {
-			ref = res
-			continue
-		}
-		for r := range ref.PeakSigmaT {
-			for c := range ref.PeakSigmaT[r] {
-				if res.PeakSigmaT[r][c] != ref.PeakSigmaT[r][c] {
-					t.Fatalf("Workers=%d via (%d,%d) peak %g, Workers=%d %g (not bit-identical)",
-						w, r, c, res.PeakSigmaT[r][c], femWorkerCounts[0], ref.PeakSigmaT[r][c])
-				}
-			}
-		}
 	}
 }
 

@@ -128,8 +128,7 @@ func appendParams(b []byte, p *cudd.Params) []byte {
 // Key derives the content-addressed cache key for one characterization: a
 // SHA-256 over a fixed binary payload covering the schema version, every
 // structure parameter, the solver settings that change the converged result
-// (worker count deliberately excluded — parallel kernels are bit-identical)
-// and the material table. The payload fits a stack buffer, so deriving a key
+// (tolerance, iteration limit, preconditioner) and the material table. The payload fits a stack buffer, so deriving a key
 // costs a single allocation (the hex string).
 func (c *StressCache) Key(p cudd.Params, opt fem.SolveOptions) string {
 	tol := opt.Tol

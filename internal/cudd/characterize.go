@@ -45,9 +45,9 @@ func Characterize(p Params, opt fem.SolveOptions) (*Result, error) {
 		return nil, fmt.Errorf("cudd: FEA for %v %d×%d: %w", p.Pattern, p.ArrayN, p.ArrayN, err)
 	}
 	// The per-via tile boxes below overlap and the row scans revisit the
-	// same cells, so recover every element-centre tensor once (in parallel)
-	// instead of per query.
-	res.PrecomputeStress(opt.Workers)
+	// same cells, so recover every element-centre tensor once instead of per
+	// query.
+	res.PrecomputeStress()
 
 	out := &Result{Params: p, FEM: res, Grid: g}
 	st := p.stack()

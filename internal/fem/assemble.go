@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"emvia/internal/mat"
-	"emvia/internal/par"
 	"emvia/internal/sparse"
 )
 
@@ -16,11 +15,9 @@ import (
 // each matrix row belongs to one node, a node couples only to the ≤27 lattice
 // neighbors it shares a solid cell with, and those neighbors — visited in
 // (k,j,i) order — yield the row's column indices already sorted. Rows are
-// therefore built independently, which gives parallelism with no merge step:
-// every worker owns whole nodes, and each row accumulates its ≤8 incident
-// element contributions in ascending cell order regardless of how nodes are
-// partitioned, so the assembled matrix is bit-identical for any worker count.
-const nodeBlock = 256 // nodes per dispatch block
+// therefore built node by node with no merge step, each accumulating its ≤8
+// incident element contributions in ascending cell order; the FEA results
+// are pinned bit for bit to that order.
 
 // perm8 reorders mesh.CellNodes hex ordering (bottom face CCW, then top)
 // into ascending node-id order.
@@ -68,9 +65,8 @@ type assembly struct {
 }
 
 // assemble builds the stiffness matrix and thermal-load vector over the free
-// DOFs, partitioning both the element-table integration and the row fill
-// across the pool.
-func (m *Model) assemble(pool *par.Pool) (*assembly, error) {
+// DOFs, writing the int32 column indices of the CSR directly.
+func (m *Model) assemble() (*assembly, error) {
 	g := m.Grid
 	nn := g.NumNodes()
 	ndof := 3 * nn
@@ -98,16 +94,11 @@ func (m *Model) assemble(pool *par.Pool) (*assembly, error) {
 	nnx, nny, _ := g.NodeDims()
 
 	// Element table: one integrated (ke, fe) per distinct (size, material)
-	// key, discovered serially in cell order so key indices are stable,
-	// then integrated in parallel. cellElem maps every solid cell to its
-	// table entry (-1 for holes).
+	// key, discovered in cell order so key indices are stable. cellElem
+	// maps every solid cell to its table entry (-1 for holes).
 	cellElem := make([]int32, nx*ny*nz)
-	type pendingKey struct {
-		dx, dy, dz float64
-		props      mat.Elastic
-	}
 	keyIdx := make(map[elemKey]int32)
-	var pend []pendingKey
+	var elems []elemData
 	for k := 0; k < nz; k++ {
 		for j := 0; j < ny; j++ {
 			for i := 0; i < nx; i++ {
@@ -125,20 +116,16 @@ func (m *Model) assemble(pool *par.Pool) (*assembly, error) {
 					if err != nil {
 						return nil, fmt.Errorf("fem: cell (%d,%d,%d): %w", i, j, k, err)
 					}
-					idx = int32(len(pend))
+					idx = int32(len(elems))
 					keyIdx[key] = idx
-					pend = append(pend, pendingKey{dx, dy, dz, props})
+					elems = append(elems, elemData{})
+					ed := &elems[idx]
+					ed.ke, ed.fe = elemStiffness(dx, dy, dz, props, m.DeltaT)
 				}
 				cellElem[cid] = idx
 			}
 		}
 	}
-	elems := make([]elemData, len(pend))
-	deltaT := m.DeltaT
-	pool.Run(len(pend), func(e int) {
-		p := pend[e]
-		elems[e].ke, elems[e].fe = elemStiffness(p.dx, p.dy, p.dz, p.props, deltaT)
-	})
 
 	// freeCnt[n] is the number of free DOFs of node n (its column count
 	// contribution to every row it couples with).
@@ -155,34 +142,26 @@ func (m *Model) assemble(pool *par.Pool) (*assembly, error) {
 
 	// Pass A: per-node row width = Σ freeCnt over coupled neighbors.
 	rowWidth := make([]int32, nn)
-	nblk := par.Blocks(nn, nodeBlock)
-	pool.Run(nblk, func(b int) {
-		lo := b * nodeBlock
-		hi := lo + nodeBlock
-		if hi > nn {
-			hi = nn
+	for n := 0; n < nn; n++ {
+		if freeCnt[n] == 0 {
+			continue
 		}
-		for n := lo; n < hi; n++ {
-			if freeCnt[n] == 0 {
+		i := n % nnx
+		j := (n / nnx) % nny
+		k := n / (nnx * nny)
+		mask := couplingMask(cellElem, i, j, k, nx, ny, nz)
+		var w int32
+		for bit := 0; bit < 27; bit++ {
+			if mask&(1<<uint(bit)) == 0 {
 				continue
 			}
-			i := n % nnx
-			j := (n / nnx) % nny
-			k := n / (nnx * nny)
-			mask := couplingMask(cellElem, i, j, k, nx, ny, nz)
-			var w int32
-			for bit := 0; bit < 27; bit++ {
-				if mask&(1<<uint(bit)) == 0 {
-					continue
-				}
-				di := bit%3 - 1
-				dj := (bit/3)%3 - 1
-				dk := bit/9 - 1
-				w += int32(freeCnt[(dk*nny+dj)*nnx+di+n])
-			}
-			rowWidth[n] = w
+			di := bit%3 - 1
+			dj := (bit/3)%3 - 1
+			dk := bit/9 - 1
+			w += int32(freeCnt[(dk*nny+dj)*nnx+di+n])
 		}
-	})
+		rowWidth[n] = w
+	}
 
 	// Row pointers: every free row of a node shares that node's width.
 	ptr := make([]int, nEq+1)
@@ -197,118 +176,112 @@ func (m *Model) assemble(pool *par.Pool) (*assembly, error) {
 		}
 	}
 	nnz := ptr[nEq]
-	cols := make([]int, nnz)
+	cols := make([]int32, nnz)
 	vals := make([]float64, nnz)
 	rhs := make([]float64, nEq)
 
 	// Pass B: fill each node's rows — columns once, then scatter the ≤8
 	// incident element blocks in ascending cell order.
-	pool.Run(nblk, func(b int) {
-		lo := b * nodeBlock
-		hi := lo + nodeBlock
-		if hi > nn {
-			hi = nn
+	for n := 0; n < nn; n++ {
+		if rowWidth[n] == 0 {
+			continue
 		}
-		for n := lo; n < hi; n++ {
-			if rowWidth[n] == 0 {
+		i := n % nnx
+		j := (n / nnx) % nny
+		k := n / (nnx * nny)
+
+		// Row bases for the free components of node n; r0 is the
+		// first one, whose cols slice is built and then copied to
+		// the siblings (identical layout).
+		var base [3]int
+		r0 := -1
+		for c := 0; c < 3; c++ {
+			base[c] = -1
+			if rr := eq[3*n+c]; rr >= 0 {
+				base[c] = ptr[rr]
+				if r0 < 0 {
+					r0 = ptr[rr]
+				}
+			}
+		}
+		w := int(rowWidth[n])
+		rowCols := cols[r0 : r0+w]
+
+		mask := couplingMask(cellElem, i, j, k, nx, ny, nz)
+		pos := 0
+		for bit := 0; bit < 27; bit++ {
+			if mask&(1<<uint(bit)) == 0 {
 				continue
 			}
-			i := n % nnx
-			j := (n / nnx) % nny
-			k := n / (nnx * nny)
-
-			// Row bases for the free components of node n; r0 is the
-			// first one, whose cols slice is built and then copied to
-			// the siblings (identical layout).
-			var base [3]int
-			r0 := -1
-			for c := 0; c < 3; c++ {
-				base[c] = -1
-				if rr := eq[3*n+c]; rr >= 0 {
-					base[c] = ptr[rr]
-					if r0 < 0 {
-						r0 = ptr[rr]
-					}
+			di := bit%3 - 1
+			dj := (bit/3)%3 - 1
+			dk := bit/9 - 1
+			mn := (dk*nny+dj)*nnx + di + n
+			for cc := 0; cc < 3; cc++ {
+				if col := eq[3*mn+cc]; col >= 0 {
+					rowCols[pos] = int32(col)
+					pos++
 				}
 			}
-			w := int(rowWidth[n])
-			rowCols := cols[r0 : r0+w]
+		}
+		for c := 0; c < 3; c++ {
+			if base[c] >= 0 && base[c] != r0 {
+				copy(cols[base[c]:base[c]+w], rowCols)
+			}
+		}
 
-			mask := couplingMask(cellElem, i, j, k, nx, ny, nz)
-			pos := 0
-			for bit := 0; bit < 27; bit++ {
-				if mask&(1<<uint(bit)) == 0 {
+		// Scatter incident cells in ascending cell-id order.
+		for oz := 0; oz < 2; oz++ {
+			ck := k - 1 + oz
+			if ck < 0 || ck >= nz {
+				continue
+			}
+			for oy := 0; oy < 2; oy++ {
+				cj := j - 1 + oy
+				if cj < 0 || cj >= ny {
 					continue
 				}
-				di := bit%3 - 1
-				dj := (bit/3)%3 - 1
-				dk := bit/9 - 1
-				mn := (dk*nny+dj)*nnx + di + n
-				for cc := 0; cc < 3; cc++ {
-					if col := eq[3*mn+cc]; col >= 0 {
-						rowCols[pos] = col
-						pos++
-					}
-				}
-			}
-			for c := 0; c < 3; c++ {
-				if base[c] >= 0 && base[c] != r0 {
-					copy(cols[base[c]:base[c]+w], rowCols)
-				}
-			}
-
-			// Scatter incident cells in ascending cell-id order.
-			for oz := 0; oz < 2; oz++ {
-				ck := k - 1 + oz
-				if ck < 0 || ck >= nz {
-					continue
-				}
-				for oy := 0; oy < 2; oy++ {
-					cj := j - 1 + oy
-					if cj < 0 || cj >= ny {
+				for ox := 0; ox < 2; ox++ {
+					ci := i - 1 + ox
+					if ci < 0 || ci >= nx {
 						continue
 					}
-					for ox := 0; ox < 2; ox++ {
-						ci := i - 1 + ox
-						if ci < 0 || ci >= nx {
-							continue
-						}
-						ei := cellElem[(ck*ny+cj)*nx+ci]
-						if ei < 0 {
-							continue
-						}
-						ed := &elems[ei]
-						nodes := g.CellNodes(ci, cj, ck)
-						aLoc := localNode(1-ox, 1-oy, 1-oz)
-						pos := 0
-						for _, p8 := range perm8 {
-							mn := nodes[p8]
-							for cc := 0; cc < 3; cc++ {
-								col := eq[3*mn+cc]
-								if col < 0 {
-									continue
-								}
-								for rowCols[pos] < col {
-									pos++
-								}
-								for c := 0; c < 3; c++ {
-									if base[c] >= 0 {
-										vals[base[c]+pos] += ed.ke[(3*aLoc+c)*24+3*p8+cc]
-									}
-								}
+					ei := cellElem[(ck*ny+cj)*nx+ci]
+					if ei < 0 {
+						continue
+					}
+					ed := &elems[ei]
+					nodes := g.CellNodes(ci, cj, ck)
+					aLoc := localNode(1-ox, 1-oy, 1-oz)
+					pos := 0
+					for _, p8 := range perm8 {
+						mn := nodes[p8]
+						for cc := 0; cc < 3; cc++ {
+							col := eq[3*mn+cc]
+							if col < 0 {
+								continue
+							}
+							for int(rowCols[pos]) < col {
 								pos++
 							}
-						}
-						for c := 0; c < 3; c++ {
-							if rr := eq[3*n+c]; rr >= 0 {
-								rhs[rr] += ed.fe[3*aLoc+c]
+							for c := 0; c < 3; c++ {
+								if base[c] >= 0 {
+									vals[base[c]+pos] += ed.ke[(3*aLoc+c)*24+3*p8+cc]
+								}
 							}
+							pos++
+						}
+					}
+					for c := 0; c < 3; c++ {
+						if rr := eq[3*n+c]; rr >= 0 {
+							rhs[rr] += ed.fe[3*aLoc+c]
 						}
 					}
 				}
 			}
 		}
-	})
+
+	}
 
 	return &assembly{
 		a:   sparse.NewCSR(nEq, nEq, ptr, cols, vals),

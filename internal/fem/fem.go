@@ -19,7 +19,6 @@ import (
 
 	"emvia/internal/mat"
 	"emvia/internal/mesh"
-	"emvia/internal/par"
 	"emvia/internal/solver"
 	"emvia/internal/telemetry"
 	"emvia/internal/trace"
@@ -110,11 +109,6 @@ type SolveOptions struct {
 	// Precond overrides the preconditioner choice: "auto" (default),
 	// "jacobi", "ic0" or "none". Used by the ablation benchmarks.
 	Precond string
-	// Workers sets the number of workers for assembly, the CG kernels and
-	// stress recovery. Zero or negative selects GOMAXPROCS. The result is
-	// bit-identical for every worker count: rows are owned by single
-	// workers and all reductions use fixed-order blocked partial sums.
-	Workers int
 }
 
 // Result holds the displacement solution and exposes stress recovery.
@@ -123,9 +117,11 @@ type Result struct {
 	U []float64
 	// Stats reports the CG iteration count and final residual.
 	Stats solver.Stats
+	// NNZ is the number of stored nonzeros of the assembled stiffness
+	// matrix over the free DOFs.
+	NNZ int
 
-	model   *Model
-	workers int
+	model *Model
 
 	// Element-centre stress cache filled by PrecomputeStress; nil until
 	// then (StressAt computes on demand in that case).
@@ -133,25 +129,23 @@ type Result struct {
 	sigOK []bool
 }
 
-// Solve assembles and solves the thermoelastic system. Assembly, the CG
-// kernels and stress recovery run on opt.Workers workers (0 = GOMAXPROCS)
-// and produce bit-identical results for every worker count.
+// Solve assembles and solves the thermoelastic system. A failed solve is
+// still timed and traced: every path ends the fem.assemble and fem.cg spans
+// it opened and observes fem.solve_seconds, which fem.solves counted.
 func (m *Model) Solve(opt SolveOptions) (*Result, error) {
 	reg := telemetry.Default()
 	reg.Counter(telemetry.FEMSolves).Inc()
 	solve0 := reg.Histogram(telemetry.FEMSolveSeconds).Start()
+	defer reg.Histogram(telemetry.FEMSolveSeconds).ObserveSince(solve0)
 
-	// The shared per-width pool keeps its workers parked between solves, so
-	// repeated characterizations pay the goroutine spawn only once.
-	pool := par.Shared(opt.Workers)
 	asm0 := reg.Histogram(telemetry.FEMAssemblySeconds).Start()
 	asmSpan := trace.Default().Span("fem.assemble")
-	asm, err := m.assemble(pool)
+	asm, err := m.assemble()
+	asmSpan()
+	reg.Histogram(telemetry.FEMAssemblySeconds).ObserveSince(asm0)
 	if err != nil {
 		return nil, err
 	}
-	asmSpan()
-	reg.Histogram(telemetry.FEMAssemblySeconds).ObserveSince(asm0)
 	a, rhs, eq, nEq := asm.a, asm.rhs, asm.eq, asm.nEq
 
 	tol := opt.Tol
@@ -185,11 +179,11 @@ func (m *Model) Solve(opt SolveOptions) (*Result, error) {
 	}
 
 	cgSpan := trace.Default().Span("fem.cg")
-	x, st, err := solver.CG(a, rhs, solver.Options{Tol: tol, MaxIter: maxIter, M: pre, Pool: pool})
+	x, st, err := solver.CG(a, rhs, solver.Options{Tol: tol, MaxIter: maxIter, M: pre})
+	cgSpan()
 	if err != nil {
 		return nil, fmt.Errorf("fem: linear solve: %w", err)
 	}
-	cgSpan()
 
 	ndof := 3 * m.Grid.NumNodes()
 	u := make([]float64, ndof)
@@ -198,8 +192,7 @@ func (m *Model) Solve(opt SolveOptions) (*Result, error) {
 			u[d] = x[eq[d]]
 		}
 	}
-	reg.Histogram(telemetry.FEMSolveSeconds).ObserveSince(solve0)
-	return &Result{U: u, Stats: st, model: m, workers: opt.Workers}, nil
+	return &Result{U: u, Stats: st, NNZ: a.NNZ(), model: m}, nil
 }
 
 // activeNodes marks nodes adjacent to at least one non-None cell.

@@ -1,14 +1,19 @@
 package fem
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"emvia/internal/mat"
 	"emvia/internal/mesh"
 	"emvia/internal/phys"
+	"emvia/internal/solver"
+	"emvia/internal/telemetry"
+	"emvia/internal/trace"
 )
 
 // cube builds an n×n×n single-material unit cube grid.
@@ -359,5 +364,109 @@ func TestStressInvariantUnderUniformScaling(t *testing.T) {
 	s1, s2 := stress(1), stress(7.3)
 	if math.Abs(s1-s2)/s1 > 1e-9 {
 		t.Errorf("stress not scale-invariant: %g vs %g", s1, s2)
+	}
+}
+
+// holeGrid builds a heterogeneous stack (Si / Cu / SiN) with a hole carved
+// into the copper layer: material boundaries, excluded cells and mixed BCs
+// in one small model.
+func holeGrid(t *testing.T) *mesh.Grid {
+	t.Helper()
+	xs := mesh.Lines([]float64{0, 1e-6}, 0.125e-6, 1e-15)
+	zs := mesh.Lines([]float64{0, 0.3e-6, 0.6e-6, 0.9e-6}, 0.1e-6, 1e-15)
+	g, err := mesh.New(xs, xs, zs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Paint(mesh.Box{X0: 0, X1: 1e-6, Y0: 0, Y1: 1e-6, Z0: 0, Z1: 0.3e-6}, mat.Silicon)
+	g.Paint(mesh.Box{X0: 0, X1: 1e-6, Y0: 0, Y1: 1e-6, Z0: 0.3e-6, Z1: 0.6e-6}, mat.Copper)
+	g.Paint(mesh.Box{X0: 0, X1: 1e-6, Y0: 0, Y1: 1e-6, Z0: 0.6e-6, Z1: 0.9e-6}, mat.SiN)
+	nx, ny, nz := g.CellDims()
+	g.SetMaterial(nx/2, ny/2, nz/2, mat.None)
+	return g
+}
+
+func holeModel(t *testing.T) *Model {
+	m := NewModel(holeGrid(t), dT)
+	m.SetFaceBC(XMin, Roller)
+	m.SetFaceBC(XMax, Roller)
+	m.SetFaceBC(YMin, Roller)
+	m.SetFaceBC(ZMin, Clamp)
+	return m
+}
+
+// TestPrecomputeStressMatchesLazy checks the cached per-cell recovery against
+// the on-demand path bit for bit.
+func TestPrecomputeStressMatchesLazy(t *testing.T) {
+	m := holeModel(t)
+	lazy, err := m.Solve(SolveOptions{Tol: 1e-10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached, err := m.Solve(SolveOptions{Tol: 1e-10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached.PrecomputeStress()
+	nx, ny, nz := m.Grid.CellDims()
+	for k := 0; k < nz; k++ {
+		for j := 0; j < ny; j++ {
+			for i := 0; i < nx; i++ {
+				sc, okc := cached.StressAt(i, j, k)
+				sl, okl := lazy.StressAt(i, j, k)
+				if okc != okl || sc != sl {
+					t.Fatalf("cell (%d,%d,%d): cached %+v/%v, lazy %+v/%v", i, j, k, sc, okc, sl, okl)
+				}
+			}
+		}
+	}
+}
+
+// spanSink collects the labels of the span events a tracer flushes.
+type spanSink struct{ labels []string }
+
+func (s *spanSink) WriteEvents(events []trace.Event) error {
+	for _, e := range events {
+		if e.Type == trace.EvSpan {
+			s.labels = append(s.labels, e.Label)
+		}
+	}
+	return nil
+}
+
+func (s *spanSink) Close() error { return nil }
+
+// TestSolveNotConvergedIsTraced checks that a solve whose CG hits its
+// iteration limit still ends its fem.assemble and fem.cg spans and observes
+// fem.solve_seconds, so the failure shows in the trace that fem.solves
+// counted it in.
+func TestSolveNotConvergedIsTraced(t *testing.T) {
+	reg := telemetry.New()
+	prevReg := telemetry.Default()
+	telemetry.SetDefault(reg)
+	defer telemetry.SetDefault(prevReg)
+	sink := &spanSink{}
+	tr := trace.New(trace.Options{Sinks: []trace.Sink{sink}})
+	prevTr := trace.Default()
+	trace.SetDefault(tr)
+	defer trace.SetDefault(prevTr)
+
+	_, err := holeModel(t).Solve(SolveOptions{Tol: 1e-12, MaxIter: 1})
+	if !errors.Is(err, solver.ErrNotConverged) {
+		t.Fatalf("Solve with MaxIter 1: error %v, want one wrapping solver.ErrNotConverged", err)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"fem.assemble", "fem.cg"} {
+		if !slices.Contains(sink.labels, want) {
+			t.Errorf("no %s span recorded, spans %v", want, sink.labels)
+		}
+	}
+	if got := reg.Counter(telemetry.FEMSolves).Value(); got != 1 {
+		t.Errorf("fem.solves = %d, want 1", got)
+	}
+	if got := reg.Histogram(telemetry.FEMSolveSeconds).Snapshot().Count; got != 1 {
+		t.Errorf("fem.solve_seconds has %d samples, want 1", got)
 	}
 }

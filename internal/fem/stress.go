@@ -6,7 +6,6 @@ import (
 
 	"emvia/internal/mat"
 	"emvia/internal/mesh"
-	"emvia/internal/par"
 	"emvia/internal/telemetry"
 	"emvia/internal/trace"
 )
@@ -35,22 +34,13 @@ func (t Tensor) VonMises() float64 {
 	return math.Sqrt(s)
 }
 
-// cellBlock is the number of cells per PrecomputeStress dispatch block.
-const cellBlock = 512
-
 // PrecomputeStress recovers and caches the element-centre stress tensor of
-// every solid cell, partitioned across workers (0 = the worker count of the
-// solve, which itself defaults to GOMAXPROCS). Each cell is computed
-// independently from the displacement field, so the cached tensors are
-// bit-identical for any worker count. Subsequent StressAt / HydrostaticAt /
-// MaxHydrostaticInBox queries read the cache, which removes the repeated
-// per-query recovery cost when scan boxes overlap.
-func (r *Result) PrecomputeStress(workers int) {
+// every solid cell. Subsequent StressAt / HydrostaticAt / MaxHydrostaticInBox
+// queries read the cache, which removes the repeated per-query recovery cost
+// when scan boxes overlap.
+func (r *Result) PrecomputeStress() {
 	if r.sig != nil {
 		return
-	}
-	if workers == 0 {
-		workers = r.workers
 	}
 	g := r.model.Grid
 	nx, ny, _ := g.CellDims()
@@ -59,20 +49,12 @@ func (r *Result) PrecomputeStress(workers int) {
 	sigOK := make([]bool, ncells)
 	stress0 := telemetry.Default().Histogram(telemetry.FEMStressSeconds).Start()
 	stressSpan := trace.Default().Span("fem.stress")
-	pool := par.Shared(workers)
-	pool.Run(par.Blocks(ncells, cellBlock), func(b int) {
-		lo := b * cellBlock
-		hi := lo + cellBlock
-		if hi > ncells {
-			hi = ncells
-		}
-		for cid := lo; cid < hi; cid++ {
-			i := cid % nx
-			j := (cid / nx) % ny
-			k := cid / (nx * ny)
-			sig[cid], sigOK[cid] = r.computeStressAt(i, j, k)
-		}
-	})
+	for cid := 0; cid < ncells; cid++ {
+		i := cid % nx
+		j := (cid / nx) % ny
+		k := cid / (nx * ny)
+		sig[cid], sigOK[cid] = r.computeStressAt(i, j, k)
+	}
 	stressSpan()
 	telemetry.Default().Histogram(telemetry.FEMStressSeconds).ObserveSince(stress0)
 	r.sig, r.sigOK = sig, sigOK

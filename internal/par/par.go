@@ -1,5 +1,4 @@
-// Package par provides the small worker-pool primitive shared by the
-// parallel FEA assembly, stress recovery, CG kernels and the supernodal
+// Package par provides the small worker-pool primitive of the supernodal
 // sparse-Cholesky factorization.
 //
 // The design constraint is determinism: callers partition work into blocks
@@ -66,8 +65,7 @@ func New(workers int) *Pool {
 }
 
 // sharedPools caches one never-closed pool per width for callers whose pool
-// lifetime is "the whole process" (per-solve FEA pools, the spice solver
-// pool). Reusing one pool per width keeps repeated solves from respawning
+// lifetime is "the whole process" (the spice solver pool). Reusing one pool per width keeps repeated solves from respawning
 // workers on every call.
 var (
 	sharedMu    sync.Mutex
@@ -134,9 +132,9 @@ func (p *Pool) Run(nblocks int, fn func(b int)) {
 		w = nblocks
 	}
 	if w <= 1 {
-		// The serial path is deliberately uninstrumented: it sits inside the
-		// per-iteration CG kernels of serial callers, where even a single
-		// atomic load per call would be measurable.
+		// The serial path is deliberately uninstrumented: it sits inside
+		// the hot loops of serial callers, where even a single atomic load
+		// per call would be measurable.
 		for b := 0; b < nblocks; b++ {
 			fn(b)
 		}

@@ -79,8 +79,8 @@ func (c *DenseCholesky) RefactorFromCSR(a *sparse.CSR) error {
 	for i := 0; i < n; i++ {
 		cols, vals := a.Row(i)
 		for k, col := range cols {
-			if col <= i {
-				c.l[i*n+col] = vals[k]
+			if int(col) <= i {
+				c.l[i*n+int(col)] = vals[k]
 			}
 		}
 	}

@@ -13,187 +13,182 @@ import (
 // iteration counts by a large factor; for FEM elasticity it usually exists
 // too, and NewIC0 falls back with ErrNotSPD when a pivot breaks down so the
 // caller can degrade to Jacobi.
+//
+// The factor is stored twice, without its diagonal: the strict lower
+// triangle row-wise for the forward sweep, and its transpose (the strict
+// upper triangle of Lᵀ) row-wise, so the backward sweep is also a sequential
+// row gather instead of a scattered column update.
 type IC0 struct {
-	n    int
-	ptr  []int
-	cols []int
-	vals []float64 // L stored row-wise, diagonal last in each row
-	diag []int     // index of the diagonal entry of each row within vals
-
-	// Strict upper triangle Lᵀ stored row-wise so the backward solve is a
-	// sequential row gather instead of a scattered column update. uperm maps
-	// each strict-lower slot of vals to its slot in uvals (-1 for
-	// diagonals); syncUpper refreshes uvals after each factorization.
+	n int
+	// Strict lower triangle of L: row i is lcols/lvals[lptr[i]:lptr[i+1]].
+	lptr  []int
+	lcols []int32
+	lvals []float64
+	// Strict upper triangle of Lᵀ: row i holds L(j,i) for j > i.
 	uptr  []int
-	ucols []int
+	ucols []int32
 	uvals []float64
-	uperm []int
 	// invDiag caches 1/L(i,i) so the substitution sweeps multiply instead
 	// of divide.
 	invDiag []float64
 }
 
 // NewIC0 computes the zero-fill incomplete Cholesky factor of SPD matrix a.
+// It reads the lower triangle of a once, straight into storage sized
+// exactly, factors it in place and lays out the transpose.
 func NewIC0(a *sparse.CSR) (*IC0, error) {
 	n, c := a.Dims()
 	if n != c {
 		return nil, fmt.Errorf("solver: IC0 needs a square matrix, got %d×%d", n, c)
 	}
-	low := a.LowerTriangle()
-	ptr := make([]int, n+1)
-	var colsAll []int
-	var valsAll []float64
-	diag := make([]int, n)
-
-	// Copy the lower triangle; record diagonal positions.
-	for i := 0; i < n; i++ {
-		cols, vals := low.Row(i)
-		if len(cols) == 0 || cols[len(cols)-1] != i {
-			return nil, fmt.Errorf("%w: row %d has no diagonal entry", ErrNotSPD, i)
-		}
-		ptr[i] = len(colsAll)
-		colsAll = append(colsAll, cols...)
-		valsAll = append(valsAll, vals...)
-		diag[i] = len(colsAll) - 1
-	}
-	ptr[n] = len(colsAll)
-
-	ic := &IC0{n: n, ptr: ptr, cols: colsAll, vals: valsAll, diag: diag}
-	ic.buildUpper()
-	if err := ic.factor(); err != nil {
-		return nil, err
-	}
-	ic.syncUpper()
-	return ic, nil
-}
-
-// buildUpper lays out the strict upper triangle (Lᵀ without its diagonal)
-// row-wise and records the slot permutation from the lower-triangle storage.
-func (ic *IC0) buildUpper() {
-	n := ic.n
+	// Pass 1: strict-lower counts per row (lptr) and per column (uptr).
+	lptr := make([]int, n+1)
 	uptr := make([]int, n+1)
 	for i := 0; i < n; i++ {
-		for k := ic.ptr[i]; k < ic.diag[i]; k++ {
-			uptr[ic.cols[k]+1]++
+		cols, _ := a.Row(i)
+		k := 0
+		for k < len(cols) && int(cols[k]) < i {
+			uptr[cols[k]+1]++
+			k++
 		}
+		if k == len(cols) || int(cols[k]) != i {
+			return nil, fmt.Errorf("%w: row %d has no diagonal entry", ErrNotSPD, i)
+		}
+		lptr[i+1] = lptr[i] + k
 	}
 	for i := 0; i < n; i++ {
 		uptr[i+1] += uptr[i]
 	}
-	ucols := make([]int, uptr[n])
-	uperm := make([]int, len(ic.vals))
-	next := make([]int, n)
-	copy(next, uptr[:n])
+	nl := lptr[n]
+	ic := &IC0{
+		n:       n,
+		lptr:    lptr,
+		lcols:   make([]int32, nl),
+		lvals:   make([]float64, nl),
+		uptr:    uptr,
+		ucols:   make([]int32, nl),
+		uvals:   make([]float64, nl),
+		invDiag: make([]float64, n),
+	}
+	// Pass 2: copy the strict lower triangle; invDiag holds A(i,i) until
+	// the factorization has run.
 	for i := 0; i < n; i++ {
-		for k := ic.ptr[i]; k < ic.diag[i]; k++ {
-			j := ic.cols[k]
-			p := next[j]
-			ucols[p] = i
-			uperm[k] = p
-			next[j]++
-		}
-		uperm[ic.diag[i]] = -1
+		cols, vals := a.Row(i)
+		lo, hi := lptr[i], lptr[i+1]
+		copy(ic.lcols[lo:hi], cols)
+		copy(ic.lvals[lo:hi], vals)
+		ic.invDiag[i] = vals[hi-lo]
 	}
-	ic.uptr = uptr
-	ic.ucols = ucols
-	ic.uvals = make([]float64, uptr[n])
-	ic.uperm = uperm
-	ic.invDiag = make([]float64, n)
+	scratch := make([]int, n)
+	if err := ic.factor(scratch); err != nil {
+		return nil, err
+	}
+	ic.transpose(scratch)
+	for i, d := range ic.invDiag {
+		ic.invDiag[i] = 1 / d
+	}
+	return ic, nil
 }
 
-// syncUpper copies the factored strict-lower values into the row-wise upper
-// storage and refreshes the reciprocal diagonal.
-func (ic *IC0) syncUpper() {
-	for k, p := range ic.uperm {
-		if p >= 0 {
-			ic.uvals[p] = ic.vals[k]
-		}
-	}
-	for i := 0; i < ic.n; i++ {
-		ic.invDiag[i] = 1 / ic.vals[ic.diag[i]]
-	}
-}
-
-// factor runs the numeric IC(0) factorization in place over vals, which must
-// hold the lower triangle of A in pattern order.
+// factor runs the up-looking numeric IC(0) factorization in place: on entry
+// lvals holds the strict lower triangle of A and invDiag its diagonal; on
+// return lvals holds the strict lower triangle of L and invDiag the
+// diagonal of L, which NewIC0 then inverts. pos is scratch of length n.
 //
-// We use the simple O(nnz·rowlen) up-looking variant: for each row i and
-// each pair (j,k) of its off-diagonal columns, subtract L(i,j)·L(k,j)
-// contributions. Rows here are short (FEM ≤ ~81, grids ≤ ~7), so the
-// quadratic-in-rowlen cost is fine.
-func (ic *IC0) factor() error {
-	ptr, colsAll, valsAll, diag := ic.ptr, ic.cols, ic.vals, ic.diag
+// Row i is scattered into pos (column → slot in the row), so each
+// L(i,j) = (A(i,j) − Σ_{k<j} L(i,k)·L(j,k)) / L(j,j) walks row j once and
+// looks its columns up instead of merge-intersecting two sorted lists. The
+// terms are subtracted in ascending k, the order a merge visits them.
+func (ic *IC0) factor(pos []int) error {
+	for i := range pos {
+		pos[i] = -1
+	}
 	for i := 0; i < ic.n; i++ {
-		rowCols := colsAll[ptr[i] : ptr[i+1]-1] // off-diagonal columns of row i
-		rowVals := valsAll[ptr[i] : ptr[i+1]-1]
-		// Update row i using previously factored rows j (j < i, entry L(i,j)).
-		for a1 := 0; a1 < len(rowCols); a1++ {
-			j := rowCols[a1]
-			// L(i,j) = (A(i,j) − Σ_{k<j} L(i,k)·L(j,k)) / L(j,j)
-			sum := rowVals[a1]
-			jCols := colsAll[ptr[j] : ptr[j+1]-1]
-			jVals := valsAll[ptr[j] : ptr[j+1]-1]
-			// Merge-intersect the column lists of rows i and j (both sorted).
-			bi, bj := 0, 0
-			for bi < a1 && bj < len(jCols) {
-				switch {
-				case rowCols[bi] < jCols[bj]:
-					bi++
-				case rowCols[bi] > jCols[bj]:
-					bj++
-				default:
-					sum -= rowVals[bi] * jVals[bj]
-					bi++
-					bj++
+		lo, hi := ic.lptr[i], ic.lptr[i+1]
+		rc := ic.lcols[lo:hi]
+		rv := ic.lvals[lo:hi]
+		for s, j := range rc {
+			pos[j] = s
+		}
+		for s, j := range rc {
+			sum := rv[s]
+			jlo, jhi := ic.lptr[j], ic.lptr[j+1]
+			jv := ic.lvals[jlo:jhi]
+			for t, k := range ic.lcols[jlo:jhi] {
+				// Columns of row j are below j, so any hit is an entry of
+				// row i already factored in this pass.
+				if p := pos[k]; p >= 0 {
+					sum -= rv[p] * jv[t]
 				}
 			}
-			ljj := valsAll[diag[j]]
-			rowVals[a1] = sum / ljj
+			rv[s] = sum / ic.invDiag[j]
 		}
 		// Diagonal: L(i,i) = sqrt(A(i,i) − Σ_k L(i,k)²).
-		d := valsAll[diag[i]]
-		for _, v := range rowVals {
+		d := ic.invDiag[i]
+		for _, v := range rv {
 			d -= v * v
 		}
 		if d <= 0 || math.IsNaN(d) {
 			return fmt.Errorf("%w: IC0 pivot %g at row %d", ErrNotSPD, d, i)
 		}
-		valsAll[diag[i]] = math.Sqrt(d)
+		ic.invDiag[i] = math.Sqrt(d)
+		for _, j := range rc {
+			pos[j] = -1
+		}
 	}
 	return nil
 }
 
-// Apply overwrites z with (L·Lᵀ)⁻¹·r by forward and backward substitution.
-// Both sweeps are row gathers over contiguous storage (the backward one over
-// the transposed copy maintained by syncUpper).
-func (ic *IC0) Apply(z, r []float64) {
-	// Forward solve L·y = r.
+// transpose fills the row-wise strict upper triangle from the factored lower
+// one; next is scratch of length n.
+func (ic *IC0) transpose(next []int) {
+	copy(next, ic.uptr[:ic.n])
 	for i := 0; i < ic.n; i++ {
-		s0, s1 := r[i], 0.0
-		k := ic.ptr[i]
-		for ; k+1 < ic.diag[i]; k += 2 {
-			s0 -= ic.vals[k] * z[ic.cols[k]]
-			s1 -= ic.vals[k+1] * z[ic.cols[k+1]]
+		lo, hi := ic.lptr[i], ic.lptr[i+1]
+		for k, j := range ic.lcols[lo:hi] {
+			p := next[j]
+			ic.ucols[p] = int32(i)
+			ic.uvals[p] = ic.lvals[lo+k]
+			next[j]++
 		}
-		if k < ic.diag[i] {
-			s0 -= ic.vals[k] * z[ic.cols[k]]
-		}
-		z[i] = (s0 + s1) * ic.invDiag[i]
 	}
-	// Backward solve Lᵀ·z = y: row i of the strict upper triangle holds
-	// L(j,i) for j > i.
-	for i := ic.n - 1; i >= 0; i-- {
-		s0, s1 := z[i], 0.0
-		k := ic.uptr[i]
-		for ; k+1 < ic.uptr[i+1]; k += 2 {
-			s0 -= ic.uvals[k] * z[ic.ucols[k]]
-			s1 -= ic.uvals[k+1] * z[ic.ucols[k+1]]
-		}
-		if k < ic.uptr[i+1] {
-			s0 -= ic.uvals[k] * z[ic.ucols[k]]
-		}
-		z[i] = (s0 + s1) * ic.invDiag[i]
+}
+
+// Apply overwrites z with (L·Lᵀ)⁻¹·r by forward and backward substitution,
+// both row gathers over contiguous storage.
+func (ic *IC0) Apply(z, r []float64) {
+	n := ic.n
+	z, r = z[:n], r[:n]
+	inv := ic.invDiag[:n]
+	// Forward solve L·y = r.
+	lptr := ic.lptr[:n+1]
+	for i := range z {
+		lo, hi := lptr[i], lptr[i+1]
+		z[i] = sweepRow(r[i], ic.lcols[lo:hi], ic.lvals[lo:hi], z) * inv[i]
 	}
+	// Backward solve Lᵀ·z = y.
+	uptr := ic.uptr[:n+1]
+	for i := n - 1; i >= 0; i-- {
+		lo, hi := uptr[i], uptr[i+1]
+		z[i] = sweepRow(z[i], ic.ucols[lo:hi], ic.uvals[lo:hi], z) * inv[i]
+	}
+}
+
+// sweepRow returns s − Σ vals[k]·z[cols[k]], subtracting even and odd terms
+// into two partial sums combined at the end. Like the SpMV row product, its
+// summation order is pinned: the FEA results depend on it bit for bit.
+func sweepRow(s float64, cols []int32, vals, z []float64) float64 {
+	vals = vals[:len(cols)]
+	s0, s1 := s, 0.0
+	k := 0
+	for ; k+1 < len(cols); k += 2 {
+		s0 -= vals[k] * z[cols[k]]
+		s1 -= vals[k+1] * z[cols[k+1]]
+	}
+	if k < len(cols) {
+		s0 -= vals[k] * z[cols[k]]
+	}
+	return s0 + s1
 }
 
 // NewAutoPreconditioner builds the strongest preconditioner that succeeds on

@@ -1,27 +1,15 @@
 package solver
 
-import (
-	"emvia/internal/par"
-	"emvia/internal/sparse"
-)
+import "emvia/internal/par"
 
-// Deterministic parallel kernels for the CG iteration.
+// Vector kernels of the CG iteration.
 //
-// Reductions (dot products) are computed over fixed-size blocks whose partial
-// sums are written to per-block slots and reduced sequentially in block
-// order. The block size is a constant of the algorithm — never derived from
-// the worker count — so the floating-point result is bit-identical for any
-// number of workers, including the serial path, which runs the exact same
-// block loop inline. Elementwise updates (axpy, SpMV rows) have disjoint
-// writes per index and are deterministic under any partition.
-const (
-	// dotBlock is the reduction block length.
-	dotBlock = 1024
-	// rowBlock is the number of matrix rows per SpMV dispatch block.
-	rowBlock = 256
-	// vecBlock is the number of vector entries per axpy dispatch block.
-	vecBlock = 4096
-)
+// Dot products accumulate over fixed-size blocks whose partial sums are
+// written to per-block slots and reduced in block order. The block size is a
+// constant of the algorithm: the FEA displacements, the golden figures and
+// the persistent stress-cache entries are pinned bit for bit to this
+// summation order, so it must not change.
+const dotBlock = 1024
 
 // partialsLen returns the number of dot-product partial slots for dimension n.
 func partialsLen(n int) int { return par.Blocks(n, dotBlock) }
@@ -36,187 +24,17 @@ func dotRange(a, b []float64, lo, hi int) float64 {
 }
 
 // dotDet computes the blocked dot product of a and b using partials as the
-// per-block scratch (len(partials) == partialsLen(len(a))). The serial branch
-// performs no allocation.
-func dotDet(a, b, partials []float64, p *par.Pool) float64 {
+// per-block scratch (len(partials) == partialsLen(len(a))). It performs no
+// allocation.
+func dotDet(a, b, partials []float64) float64 {
 	n := len(a)
-	nb := len(partials)
-	if p.Workers() == 1 {
-		for bi := 0; bi < nb; bi++ {
-			lo := bi * dotBlock
-			hi := lo + dotBlock
-			if hi > n {
-				hi = n
-			}
-			partials[bi] = dotRange(a, b, lo, hi)
-		}
-	} else {
-		p.Run(nb, func(bi int) {
-			lo := bi * dotBlock
-			hi := lo + dotBlock
-			if hi > n {
-				hi = n
-			}
-			partials[bi] = dotRange(a, b, lo, hi)
-		})
-	}
-	s := 0.0
-	for _, v := range partials {
-		s += v
-	}
-	return s
-}
-
-// mulVec computes y = A·x, row-partitioned across the pool. Row results are
-// independent, so the output matches the serial MulVecTo bit for bit.
-func mulVec(a *sparse.CSR, y, x []float64, p *par.Pool) {
-	if p.Workers() == 1 {
-		a.MulVecTo(y, x)
-		return
-	}
-	rows, _ := a.Dims()
-	p.Run(par.Blocks(rows, rowBlock), func(bi int) {
-		lo := bi * rowBlock
-		hi := lo + rowBlock
-		if hi > rows {
-			hi = rows
-		}
-		a.MulVecRange(y, x, lo, hi)
-	})
-}
-
-// cgUpdate applies the fused iterate/residual update x += α·p, r −= α·ap.
-func cgUpdate(x, r, pvec, ap []float64, alpha float64, p *par.Pool) {
-	n := len(x)
-	if p.Workers() == 1 {
-		for i := 0; i < n; i++ {
-			x[i] += alpha * pvec[i]
-			r[i] -= alpha * ap[i]
-		}
-		return
-	}
-	p.Run(par.Blocks(n, vecBlock), func(bi int) {
-		lo := bi * vecBlock
-		hi := lo + vecBlock
-		if hi > n {
-			hi = n
-		}
-		for i := lo; i < hi; i++ {
-			x[i] += alpha * pvec[i]
-			r[i] -= alpha * ap[i]
-		}
-	})
-}
-
-// cgDirection updates the search direction p = z + β·p.
-func cgDirection(pvec, z []float64, beta float64, p *par.Pool) {
-	n := len(pvec)
-	if p.Workers() == 1 {
-		for i := 0; i < n; i++ {
-			pvec[i] = z[i] + beta*pvec[i]
-		}
-		return
-	}
-	p.Run(par.Blocks(n, vecBlock), func(bi int) {
-		lo := bi * vecBlock
-		hi := lo + vecBlock
-		if hi > n {
-			hi = n
-		}
-		for i := lo; i < hi; i++ {
-			pvec[i] = z[i] + beta*pvec[i]
-		}
-	})
-}
-
-// kernCtx holds the pooled CG kernels with their dispatch closures hoisted
-// out of the per-iteration path. The free functions above allocate one
-// closure per call when the pool is parallel; at tens of CG iterations per
-// solve and four kernel calls per iteration that dominated the multi-worker
-// FEA allocation profile (BENCH_3: 1728–2076 allocs/op vs 189 serial). The
-// context creates each closure once — capturing only the context pointer —
-// and passes operands through fields, so steady-state parallel iterations
-// allocate nothing. Numerically the context paths run the exact block loops
-// of the free functions, so results stay bit-identical.
-type kernCtx struct {
-	pool *par.Pool
-
-	// Operand fields, set immediately before each dispatch.
-	mat              *sparse.CSR
-	dx, dy, partials []float64 // dot product
-	mvY, mvX         []float64 // SpMV
-	ux, ur, up, uap  []float64 // fused iterate/residual update
-	alpha, beta      float64
-
-	dotFn, mulFn, updFn, dirFn func(int)
-}
-
-// bind points the context at a pool and creates the dispatch closures on
-// first parallel use.
-func (k *kernCtx) bind(pool *par.Pool) {
-	k.pool = pool
-	if pool.Workers() == 1 || k.dotFn != nil {
-		return
-	}
-	k.dotFn = func(bi int) {
-		n := len(k.dx)
+	for bi := range partials {
 		lo := bi * dotBlock
 		hi := lo + dotBlock
 		if hi > n {
 			hi = n
 		}
-		k.partials[bi] = dotRange(k.dx, k.dy, lo, hi)
-	}
-	k.mulFn = func(bi int) {
-		rows := len(k.mvY)
-		lo := bi * rowBlock
-		hi := lo + rowBlock
-		if hi > rows {
-			hi = rows
-		}
-		k.mat.MulVecRange(k.mvY, k.mvX, lo, hi)
-	}
-	k.updFn = func(bi int) {
-		n := len(k.ux)
-		lo := bi * vecBlock
-		hi := lo + vecBlock
-		if hi > n {
-			hi = n
-		}
-		for i := lo; i < hi; i++ {
-			k.ux[i] += k.alpha * k.up[i]
-			k.ur[i] -= k.alpha * k.uap[i]
-		}
-	}
-	k.dirFn = func(bi int) {
-		n := len(k.up)
-		lo := bi * vecBlock
-		hi := lo + vecBlock
-		if hi > n {
-			hi = n
-		}
-		for i := lo; i < hi; i++ {
-			k.up[i] = k.ur[i] + k.beta*k.up[i]
-		}
-	}
-}
-
-// dot is dotDet through the hoisted closures.
-func (k *kernCtx) dot(a, b, partials []float64) float64 {
-	n := len(a)
-	nb := len(partials)
-	if k.pool.Workers() == 1 {
-		for bi := 0; bi < nb; bi++ {
-			lo := bi * dotBlock
-			hi := lo + dotBlock
-			if hi > n {
-				hi = n
-			}
-			partials[bi] = dotRange(a, b, lo, hi)
-		}
-	} else {
-		k.dx, k.dy, k.partials = a, b, partials
-		k.pool.Run(nb, k.dotFn)
+		partials[bi] = dotRange(a, b, lo, hi)
 	}
 	s := 0.0
 	for _, v := range partials {
@@ -225,41 +43,21 @@ func (k *kernCtx) dot(a, b, partials []float64) float64 {
 	return s
 }
 
-// mul is mulVec through the hoisted closures.
-func (k *kernCtx) mul(a *sparse.CSR, y, x []float64) {
-	if k.pool.Workers() == 1 {
-		a.MulVecTo(y, x)
-		return
+// cgUpdate applies the fused iterate/residual update x += α·p, r −= α·ap.
+func cgUpdate(x, r, pvec, ap []float64, alpha float64) {
+	r = r[:len(x)]
+	pvec = pvec[:len(x)]
+	ap = ap[:len(x)]
+	for i := range x {
+		x[i] += alpha * pvec[i]
+		r[i] -= alpha * ap[i]
 	}
-	rows, _ := a.Dims()
-	k.mat, k.mvY, k.mvX = a, y, x
-	k.pool.Run(par.Blocks(rows, rowBlock), k.mulFn)
 }
 
-// update is cgUpdate through the hoisted closures.
-func (k *kernCtx) update(x, r, pvec, ap []float64, alpha float64) {
-	n := len(x)
-	if k.pool.Workers() == 1 {
-		for i := 0; i < n; i++ {
-			x[i] += alpha * pvec[i]
-			r[i] -= alpha * ap[i]
-		}
-		return
+// cgDirection updates the search direction p = z + β·p.
+func cgDirection(pvec, z []float64, beta float64) {
+	z = z[:len(pvec)]
+	for i := range pvec {
+		pvec[i] = z[i] + beta*pvec[i]
 	}
-	k.ux, k.ur, k.up, k.uap, k.alpha = x, r, pvec, ap, alpha
-	k.pool.Run(par.Blocks(n, vecBlock), k.updFn)
-}
-
-// direction is cgDirection through the hoisted closures. It reuses the up/ur
-// operand fields: p = z + β·p with ur carrying z.
-func (k *kernCtx) direction(pvec, z []float64, beta float64) {
-	n := len(pvec)
-	if k.pool.Workers() == 1 {
-		for i := 0; i < n; i++ {
-			pvec[i] = z[i] + beta*pvec[i]
-		}
-		return
-	}
-	k.up, k.ur, k.beta = pvec, z, beta
-	k.pool.Run(par.Blocks(n, vecBlock), k.dirFn)
 }

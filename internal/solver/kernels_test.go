@@ -2,51 +2,12 @@ package solver
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
-
-	"emvia/internal/par"
 )
 
-// TestCGPoolBitIdentical checks the deterministic-kernel contract: the CG
-// iterates, iteration count and residual are bit-identical for any worker
-// count, because reductions use fixed-size blocks reduced in block order.
-// The dimension spans several dotBlock/rowBlock/vecBlock boundaries plus a
-// ragged tail.
-func TestCGPoolBitIdentical(t *testing.T) {
-	n := 3*dotBlock + 137
-	a := laplacian1D(n)
-	rng := rand.New(rand.NewSource(7))
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	pre, err := NewIC0(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xRef, stRef, err := CG(a, b, Options{Tol: 1e-10, M: pre})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{1, 2, 7, runtime.GOMAXPROCS(0)} {
-		x, st, err := CG(a, b, Options{Tol: 1e-10, M: pre, Pool: par.New(w)})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if st != stRef {
-			t.Errorf("workers=%d stats %+v, serial %+v", w, st, stRef)
-		}
-		for i := range x {
-			if x[i] != xRef[i] {
-				t.Fatalf("workers=%d x[%d] = %g, serial %g (not bit-identical)", w, i, x[i], xRef[i])
-			}
-		}
-	}
-}
-
-// TestCGPoolWithWorkspaceAndWarmStart covers the pooled kernels on the
-// buffer-reusing warm-started path the Monte-Carlo loop exercises.
+// TestCGPoolWithWorkspaceAndWarmStart checks that repeated warm-started
+// solves through one reused workspace match a fresh allocating solve bit for
+// bit, at a dimension spanning several dot-product blocks.
 func TestCGPoolWithWorkspaceAndWarmStart(t *testing.T) {
 	n := 2*dotBlock + 51
 	a := laplacian1D(n)
@@ -62,9 +23,8 @@ func TestCGPoolWithWorkspaceAndWarmStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ws Workspace
-	pool := par.New(4)
 	for rep := 0; rep < 3; rep++ {
-		x, st, err := CG(a, b, Options{Tol: 1e-10, X0: x0, Work: &ws, Pool: pool})
+		x, st, err := CG(a, b, Options{Tol: 1e-10, X0: x0, Work: &ws})
 		if err != nil {
 			t.Fatalf("rep %d: %v", rep, err)
 		}
@@ -79,9 +39,9 @@ func TestCGPoolWithWorkspaceAndWarmStart(t *testing.T) {
 	}
 }
 
-// TestCGSerialPoolZeroAlloc pins down that a nil or one-wide pool takes the
-// inline kernel branches: with a reserved workspace (including the partials
-// scratch) the whole solve is allocation-free.
+// TestCGSerialPoolZeroAlloc pins down that with a reserved workspace
+// (including the partials scratch) a solve spanning more than one
+// dot-product block is allocation-free.
 func TestCGSerialPoolZeroAlloc(t *testing.T) {
 	n := dotBlock + 200
 	a := laplacian1D(n)
@@ -95,20 +55,18 @@ func TestCGSerialPoolZeroAlloc(t *testing.T) {
 	}
 	var ws Workspace
 	ws.Reserve(n)
-	for name, pool := range map[string]*par.Pool{"nil": nil, "one-wide": par.New(1)} {
-		allocs := testing.AllocsPerRun(10, func() {
-			if _, _, err := CG(a, b, Options{Tol: 1e-10, M: jac, Work: &ws, Pool: pool}); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("%s pool: CG allocates %.1f objects per solve, want 0", name, allocs)
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, _, err := CG(a, b, Options{Tol: 1e-10, M: jac, Work: &ws}); err != nil {
+			t.Fatal(err)
 		}
+	})
+	if allocs != 0 {
+		t.Errorf("CG allocates %.1f objects per solve, want 0", allocs)
 	}
 }
 
 // TestWorkspaceReservePartials checks the partials scratch is sized with the
-// rest of the workspace so pooled solves reuse it.
+// rest of the workspace so repeated solves reuse it.
 func TestWorkspaceReservePartials(t *testing.T) {
 	var ws Workspace
 	ws.Reserve(3*dotBlock + 1)
@@ -126,9 +84,9 @@ func TestWorkspaceReservePartials(t *testing.T) {
 	}
 }
 
-// TestDotDetBlockOrderIndependent cross-checks dotDet against a plain serial
-// accumulation only in the blocked order — the two agree exactly because the
-// serial branch runs the identical block loop.
+// TestDotDetBlockOrderIndependent pins dotDet to its blocked summation
+// order: per-block sums of dotBlock terms, added in block order. The FEA
+// results depend on that order bit for bit.
 func TestDotDetBlockOrderIndependent(t *testing.T) {
 	n := 2*dotBlock + 333
 	rng := rand.New(rand.NewSource(11))
@@ -138,11 +96,15 @@ func TestDotDetBlockOrderIndependent(t *testing.T) {
 		a[i] = rng.NormFloat64()
 		b[i] = rng.NormFloat64()
 	}
-	partials := make([]float64, partialsLen(n))
-	serial := dotDet(a, b, partials, nil)
-	for _, w := range []int{2, 5, 16} {
-		if got := dotDet(a, b, partials, par.New(w)); got != serial {
-			t.Errorf("workers=%d dotDet = %g, serial %g", w, got, serial)
+	want := 0.0
+	for lo := 0; lo < n; lo += dotBlock {
+		block := 0.0
+		for i := lo; i < n && i < lo+dotBlock; i++ {
+			block += a[i] * b[i]
 		}
+		want += block
+	}
+	if got := dotDet(a, b, make([]float64, partialsLen(n))); got != want {
+		t.Errorf("dotDet = %g, blocked reference %g", got, want)
 	}
 }

@@ -172,10 +172,10 @@ func (nd *ndState) bfs(root int) []int {
 		v := nd.queue[head]
 		cols, _ := nd.a.Row(v)
 		for _, u := range cols {
-			if u != v && nd.mark[u] == nd.epoch {
+			if int(u) != v && nd.mark[u] == nd.epoch {
 				nd.mark[u] = -nd.epoch
 				nd.level[u] = nd.level[v] + 1
-				nd.queue = append(nd.queue, u)
+				nd.queue = append(nd.queue, int(u))
 			}
 		}
 	}
@@ -258,14 +258,14 @@ func (nd *ndState) orderLeaf(verts []int) {
 		}
 		ptr[li+1] = ptr[li] + deg
 	}
-	cols := make([]int, ptr[m])
+	cols := make([]int32, ptr[m])
 	vals := make([]float64, ptr[m])
 	pos := 0
 	for _, v := range verts {
 		rcols, _ := nd.a.Row(v)
 		for _, u := range rcols {
 			if nd.mark[u] == nd.epoch {
-				cols[pos] = nd.loc[u]
+				cols[pos] = int32(nd.loc[u])
 				vals[pos] = 1
 				pos++
 			}

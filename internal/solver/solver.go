@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 
-	"emvia/internal/par"
 	"emvia/internal/sparse"
 )
 
@@ -85,13 +84,6 @@ type Options struct {
 	// performs no heap allocation and the returned solution aliases
 	// Work.X — callers must copy it out before the next solve.
 	Work *Workspace
-	// Pool parallelizes the SpMV and vector kernels across its workers.
-	// Reductions use fixed-size blocks with partial sums combined in block
-	// order, so the iterates, iteration count and residuals are
-	// bit-identical for any worker count; nil (or a 1-wide pool) runs the
-	// same blocked kernels inline. Preconditioner application is serial
-	// either way.
-	Pool *par.Pool
 }
 
 // Workspace holds the scratch vectors of a CG solve so repeated solves of
@@ -103,9 +95,6 @@ type Workspace struct {
 	// partials holds the per-block partial sums of the deterministic
 	// blocked dot products (one slot per dotBlock-sized chunk).
 	partials []float64
-	// kern holds the pooled kernel dispatch closures, created once on the
-	// first parallel solve so multi-worker iterations allocate nothing.
-	kern kernCtx
 }
 
 // Reserve grows the workspace to dimension n.
@@ -162,14 +151,11 @@ func CG(a *sparse.CSR, b []float64, opt Options) ([]float64, Stats, error) {
 		m = opt.M
 	}
 
-	pool := opt.Pool
 	var x, r, z, p, ap, partials []float64
-	var kc *kernCtx
 	if opt.Work != nil {
 		opt.Work.Reserve(n)
 		x, r, z, p, ap = opt.Work.X, opt.Work.r, opt.Work.z, opt.Work.p, opt.Work.a
 		partials = opt.Work.partials
-		kc = &opt.Work.kern
 		for i := range x {
 			x[i] = 0
 		}
@@ -180,15 +166,13 @@ func CG(a *sparse.CSR, b []float64, opt Options) ([]float64, Stats, error) {
 		p = make([]float64, n)
 		ap = make([]float64, n)
 		partials = make([]float64, partialsLen(n))
-		kc = &kernCtx{}
 	}
-	kc.bind(pool)
 	if opt.X0 != nil {
 		if len(opt.X0) != n {
 			return nil, Stats{}, fmt.Errorf("solver: CG warm start length %d does not match dimension %d", len(opt.X0), n)
 		}
 		copy(x, opt.X0)
-		kc.mul(a, r, x)
+		a.MulVecTo(r, x)
 		for i := range r {
 			r[i] = b[i] - r[i]
 		}
@@ -196,7 +180,7 @@ func CG(a *sparse.CSR, b []float64, opt Options) ([]float64, Stats, error) {
 		copy(r, b)
 	}
 
-	bnorm := math.Sqrt(kc.dot(b, b, partials))
+	bnorm := math.Sqrt(dotDet(b, b, partials))
 	if bnorm == 0 {
 		// b = 0 ⇒ x = 0 exactly.
 		for i := range x {
@@ -208,29 +192,29 @@ func CG(a *sparse.CSR, b []float64, opt Options) ([]float64, Stats, error) {
 
 	m.Apply(z, r)
 	copy(p, z)
-	rz := kc.dot(r, z, partials)
+	rz := dotDet(r, z, partials)
 
-	res := math.Sqrt(kc.dot(r, r, partials)) / bnorm
+	res := math.Sqrt(dotDet(r, r, partials)) / bnorm
 	var it int
 	for it = 0; it < maxIter && res > tol; it++ {
-		kc.mul(a, ap, p)
-		pap := kc.dot(p, ap, partials)
+		a.MulVecTo(ap, p)
+		pap := dotDet(p, ap, partials)
 		if pap <= 0 || math.IsNaN(pap) {
 			return x, Stats{Iterations: it, Residual: res},
 				fmt.Errorf("%w: pᵀAp = %g at iteration %d", ErrNotSPD, pap, it)
 		}
 		alpha := rz / pap
-		kc.update(x, r, p, ap, alpha)
-		res = math.Sqrt(kc.dot(r, r, partials)) / bnorm
+		cgUpdate(x, r, p, ap, alpha)
+		res = math.Sqrt(dotDet(r, r, partials)) / bnorm
 		if res <= tol {
 			it++
 			break
 		}
 		m.Apply(z, r)
-		rzNew := kc.dot(r, z, partials)
+		rzNew := dotDet(r, z, partials)
 		beta := rzNew / rz
 		rz = rzNew
-		kc.direction(p, z, beta)
+		cgDirection(p, z, beta)
 	}
 	st := Stats{Iterations: it, Residual: res}
 	recordCG(st)

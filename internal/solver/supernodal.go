@@ -186,7 +186,7 @@ func (c *SupernodalCholesky) symbolic(a *sparse.CSR) {
 		orig := c.perm[k]
 		cols, _ := a.Row(orig)
 		if len(cols) > 0 {
-			base := a.SlotIndex(orig, cols[0])
+			base := a.SlotIndex(orig, int(cols[0]))
 			for t, col := range cols {
 				j := c.invp[col]
 				if j > k {

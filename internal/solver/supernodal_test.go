@@ -21,13 +21,13 @@ func blockDiag(a, b *sparse.CSR) *sparse.CSR {
 	for i := 0; i < na; i++ {
 		cols, vals := a.Row(i)
 		for t, c := range cols {
-			tr.Add(i, c, vals[t])
+			tr.Add(i, int(c), vals[t])
 		}
 	}
 	for i := 0; i < nb; i++ {
 		cols, vals := b.Row(i)
 		for t, c := range cols {
-			tr.Add(na+i, na+c, vals[t])
+			tr.Add(na+i, na+int(c), vals[t])
 		}
 	}
 	return tr.ToCSR()
@@ -60,7 +60,7 @@ func TestSupernodalMatchesScalarAndDense(t *testing.T) {
 		for i := 0; i < n; i++ {
 			cols, vals := a.Row(i)
 			for t2, c := range cols {
-				dense[i*n+c] = vals[t2]
+				dense[i*n+int(c)] = vals[t2]
 			}
 		}
 		dc, err := NewDenseCholesky(dense, n)

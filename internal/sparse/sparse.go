@@ -11,7 +11,8 @@ package sparse
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 )
 
 // Triplet accumulates matrix entries in coordinate (COO) form. Duplicate
@@ -19,21 +20,20 @@ import (
 // exactly the semantics of finite-element and nodal-analysis "stamping".
 type Triplet struct {
 	nrows, ncols int
-	rows, cols   []int
+	rows         []int
+	cols         []int32
 	vals         []float64
 }
 
 // NewTriplet returns an empty r×c triplet accumulator with capacity for nnz
 // entries (nnz may be 0 if unknown).
 func NewTriplet(r, c, nnz int) *Triplet {
-	if r < 0 || c < 0 {
-		panic(fmt.Sprintf("sparse: negative dimensions %d×%d", r, c))
-	}
+	checkDims(r, c)
 	return &Triplet{
 		nrows: r,
 		ncols: c,
 		rows:  make([]int, 0, nnz),
-		cols:  make([]int, 0, nnz),
+		cols:  make([]int32, 0, nnz),
 		vals:  make([]float64, 0, nnz),
 	}
 }
@@ -54,7 +54,7 @@ func (t *Triplet) Add(i, j int, v float64) {
 		return
 	}
 	t.rows = append(t.rows, i)
-	t.cols = append(t.cols, j)
+	t.cols = append(t.cols, int32(j))
 	t.vals = append(t.vals, v)
 }
 
@@ -71,7 +71,7 @@ func (t *Triplet) ToCSR() *CSR {
 	}
 	ptr := make([]int, t.nrows+1)
 	copy(ptr, counts)
-	cols := make([]int, len(t.vals))
+	cols := make([]int32, len(t.vals))
 	vals := make([]float64, len(t.vals))
 	next := make([]int, t.nrows)
 	for i := range next {
@@ -115,7 +115,7 @@ func (t *Triplet) ToCSR() *CSR {
 // analysis, tens for FEM), where insertion sort beats the generic sort and —
 // unlike sort.Sort with an interface receiver — allocates nothing, which
 // matters because ToCSR runs once per matrix row.
-func sortRow(cols []int, vals []float64) {
+func sortRow(cols []int32, vals []float64) {
 	for i := 1; i < len(cols); i++ {
 		c, v := cols[i], vals[i]
 		j := i - 1
@@ -131,18 +131,31 @@ func sortRow(cols []int, vals []float64) {
 
 // CSR is a compressed sparse row matrix with column indices sorted within
 // each row and no duplicate entries.
+//
+// Column indices are int32: the products and triangular sweeps over a CSR
+// stream one index and one value per nonzero and are memory-bound, so 12
+// bytes per nonzero instead of 16 makes them faster. Dimensions are
+// therefore limited to math.MaxInt32.
 type CSR struct {
 	nrows, ncols int
 	ptr          []int
-	cols         []int
+	cols         []int32
 	vals         []float64
+}
+
+// checkDims panics on dimensions a CSR cannot index with int32 columns.
+func checkDims(r, c int) {
+	if r < 0 || c < 0 || c > math.MaxInt32 {
+		panic(fmt.Sprintf("sparse: invalid dimensions %d×%d", r, c))
+	}
 }
 
 // NewCSR builds a CSR matrix directly from raw components. The slices are
 // used without copying; callers must not mutate them afterwards. It validates
 // structural invariants and panics on malformed input, since raw construction
 // is only used by trusted in-package code paths and tests.
-func NewCSR(r, c int, ptr, cols []int, vals []float64) *CSR {
+func NewCSR(r, c int, ptr []int, cols []int32, vals []float64) *CSR {
+	checkDims(r, c)
 	if len(ptr) != r+1 || ptr[0] != 0 || ptr[r] != len(cols) || len(cols) != len(vals) {
 		panic("sparse: inconsistent CSR components")
 	}
@@ -151,7 +164,7 @@ func NewCSR(r, c int, ptr, cols []int, vals []float64) *CSR {
 			panic("sparse: non-monotone row pointer")
 		}
 		for k := ptr[i]; k < ptr[i+1]; k++ {
-			if cols[k] < 0 || cols[k] >= c {
+			if cols[k] < 0 || int(cols[k]) >= c {
 				panic("sparse: column index out of range")
 			}
 			if k > ptr[i] && cols[k] <= cols[k-1] {
@@ -170,7 +183,7 @@ func (m *CSR) NNZ() int { return len(m.vals) }
 
 // Row returns views of the column indices and values of row i. The returned
 // slices alias internal storage and must not be mutated structurally.
-func (m *CSR) Row(i int) (cols []int, vals []float64) {
+func (m *CSR) Row(i int) (cols []int32, vals []float64) {
 	return m.cols[m.ptr[i]:m.ptr[i+1]], m.vals[m.ptr[i]:m.ptr[i+1]]
 }
 
@@ -179,9 +192,7 @@ func (m *CSR) At(i, j int) float64 {
 	if i < 0 || i >= m.nrows || j < 0 || j >= m.ncols {
 		panic(fmt.Sprintf("sparse: index (%d,%d) out of range %d×%d", i, j, m.nrows, m.ncols))
 	}
-	lo, hi := m.ptr[i], m.ptr[i+1]
-	k := lo + sort.SearchInts(m.cols[lo:hi], j)
-	if k < hi && m.cols[k] == j {
+	if k := m.find(i, j); k >= 0 {
 		return m.vals[k]
 	}
 	return 0
@@ -196,10 +207,14 @@ func (m *CSR) SlotIndex(i, j int) int {
 	if i < 0 || i >= m.nrows || j < 0 || j >= m.ncols {
 		panic(fmt.Sprintf("sparse: index (%d,%d) out of range %d×%d", i, j, m.nrows, m.ncols))
 	}
+	return m.find(i, j)
+}
+
+// find binary-searches row i for column j and returns its slot, or -1.
+func (m *CSR) find(i, j int) int {
 	lo, hi := m.ptr[i], m.ptr[i+1]
-	k := lo + sort.SearchInts(m.cols[lo:hi], j)
-	if k < hi && m.cols[k] == j {
-		return k
+	if k, ok := slices.BinarySearch(m.cols[lo:hi], int32(j)); ok {
+		return lo + k
 	}
 	return -1
 }
@@ -255,40 +270,31 @@ func (m *CSR) MulVecTo(y, x []float64) {
 		panic(fmt.Sprintf("sparse: MulVecTo dimension mismatch: A is %d×%d, len(x)=%d, len(y)=%d",
 			m.nrows, m.ncols, len(x), len(y)))
 	}
-	for i := 0; i < m.nrows; i++ {
-		y[i] = m.rowDot(x, m.ptr[i], m.ptr[i+1])
+	ptr := m.ptr[:len(y)+1]
+	for i := range y {
+		lo, hi := ptr[i], ptr[i+1]
+		y[i] = rowDot(m.cols[lo:hi], m.vals[lo:hi], x)
 	}
 }
 
-// rowDot accumulates one CSR row against x with two interleaved partial sums
-// (breaking the serial dependency chain) combined as even+odd at the end.
-// Every row-product in the package funnels through it, so MulVecTo and the
-// partitioned MulVecRange produce bit-identical results.
-func (m *CSR) rowDot(x []float64, lo, hi int) float64 {
+// rowDot returns Σ vals[k]·x[cols[k]] over one sparse row, accumulated in
+// two interleaved partial sums (breaking the serial dependency chain)
+// combined as even+odd at the end. Operating on row slices lets the compiler
+// drop the bounds checks on cols and vals; only the gather from x is checked.
+// The summation order is part of the contract: the FEA results are pinned
+// bit for bit to it.
+func rowDot(cols []int32, vals []float64, x []float64) float64 {
+	vals = vals[:len(cols)]
 	s0, s1 := 0.0, 0.0
-	k := lo
-	for ; k+1 < hi; k += 2 {
-		s0 += m.vals[k] * x[m.cols[k]]
-		s1 += m.vals[k+1] * x[m.cols[k+1]]
+	k := 0
+	for ; k+1 < len(cols); k += 2 {
+		s0 += vals[k] * x[cols[k]]
+		s1 += vals[k+1] * x[cols[k+1]]
 	}
-	if k < hi {
-		s0 += m.vals[k] * x[m.cols[k]]
+	if k < len(cols) {
+		s0 += vals[k] * x[cols[k]]
 	}
 	return s0 + s1
-}
-
-// MulVecRange computes y[lo:hi] = (A·x)[lo:hi] for a row range, leaving the
-// rest of y untouched. Row results are independent, so callers may partition
-// the rows across workers in any way and still obtain a result bit-identical
-// to MulVecTo. Bounds are the caller's responsibility beyond the row range
-// check; dimension validation is done once by the driver, not per block.
-func (m *CSR) MulVecRange(y, x []float64, lo, hi int) {
-	if lo < 0 || hi > m.nrows || lo > hi {
-		panic(fmt.Sprintf("sparse: MulVecRange rows [%d,%d) out of range %d", lo, hi, m.nrows))
-	}
-	for i := lo; i < hi; i++ {
-		y[i] = m.rowDot(x, m.ptr[i], m.ptr[i+1])
-	}
 }
 
 // Diagonal returns a fresh slice with the main diagonal (zero where absent).
@@ -300,7 +306,7 @@ func (m *CSR) Diagonal() []float64 {
 	d := make([]float64, n)
 	for i := 0; i < n; i++ {
 		for k := m.ptr[i]; k < m.ptr[i+1]; k++ {
-			if m.cols[k] == i {
+			if int(m.cols[k]) == i {
 				d[i] = m.vals[k]
 				break
 			}
@@ -318,7 +324,7 @@ func (m *CSR) Transpose() *CSR {
 	for i := 0; i < m.ncols; i++ {
 		ptr[i+1] += ptr[i]
 	}
-	cols := make([]int, len(m.vals))
+	cols := make([]int32, len(m.vals))
 	vals := make([]float64, len(m.vals))
 	next := make([]int, m.ncols)
 	copy(next, ptr[:m.ncols])
@@ -326,7 +332,7 @@ func (m *CSR) Transpose() *CSR {
 		for k := m.ptr[i]; k < m.ptr[i+1]; k++ {
 			c := m.cols[k]
 			p := next[c]
-			cols[p] = i
+			cols[p] = int32(i)
 			vals[p] = m.vals[k]
 			next[c]++
 		}
@@ -373,7 +379,7 @@ func (m *CSR) Scale(s float64) {
 func (m *CSR) Clone() *CSR {
 	ptr := make([]int, len(m.ptr))
 	copy(ptr, m.ptr)
-	cols := make([]int, len(m.cols))
+	cols := make([]int32, len(m.cols))
 	copy(cols, m.cols)
 	vals := make([]float64, len(m.vals))
 	copy(vals, m.vals)
@@ -392,24 +398,24 @@ func (m *CSR) ShallowCloneValues() *CSR {
 }
 
 // LowerTriangle returns the lower triangle (including the diagonal) of the
-// matrix as a new CSR, used by the incomplete-Cholesky preconditioner.
+// matrix as a new CSR.
 func (m *CSR) LowerTriangle() *CSR {
 	ptr := make([]int, m.nrows+1)
 	nnz := 0
 	for i := 0; i < m.nrows; i++ {
 		for k := m.ptr[i]; k < m.ptr[i+1]; k++ {
-			if m.cols[k] <= i {
+			if int(m.cols[k]) <= i {
 				nnz++
 			}
 		}
 		ptr[i+1] = nnz
 	}
-	cols := make([]int, nnz)
+	cols := make([]int32, nnz)
 	vals := make([]float64, nnz)
 	w := 0
 	for i := 0; i < m.nrows; i++ {
 		for k := m.ptr[i]; k < m.ptr[i+1]; k++ {
-			if m.cols[k] <= i {
+			if int(m.cols[k]) <= i {
 				cols[w] = m.cols[k]
 				vals[w] = m.vals[k]
 				w++

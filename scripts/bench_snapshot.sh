@@ -20,7 +20,7 @@ trap 'rm -f "$tmp"' EXIT
 grid_benches='BenchmarkFig10GridCDF|BenchmarkTable2GridTTF|BenchmarkSparseCholeskyFactor'
 grid_small='BenchmarkGridSolve/^nx(10|20|40|80)$'
 grid_large='BenchmarkGridSolve/^nx(200|400)$|BenchmarkGridMCScreened|BenchmarkGridMCSharded'
-fea_benches='BenchmarkFig1StressProfile|BenchmarkFig6Patterns|BenchmarkFig7ArraySize|BenchmarkFEAWorkers|BenchmarkStressCacheWarm'
+fea_benches='BenchmarkFig1StressProfile|BenchmarkFig6Patterns|BenchmarkFig7ArraySize|BenchmarkFEASolve|BenchmarkStressCacheWarm'
 
 go test -run '^$' -bench "$grid_benches" \
     -benchmem -benchtime=100x -count=1 . | tee "$tmp"
