@@ -33,7 +33,7 @@ lint:
 # which measures them at a reduced -benchtime.
 bench:
 	$(GO) test -run '^$$' \
-	    -bench 'BenchmarkFig10GridCDF|BenchmarkTable2GridTTF|BenchmarkSparseCholeskyFactor|BenchmarkFig1StressProfile|BenchmarkFig6Patterns|BenchmarkFig7ArraySize|BenchmarkFEASolve|BenchmarkStressCacheWarm' \
+	    -bench 'BenchmarkFig10GridCDF|BenchmarkTable2GridTTF|BenchmarkSparseCholeskyFactor|BenchmarkViaArrayCharacterize|BenchmarkFig1StressProfile|BenchmarkFig6Patterns|BenchmarkFig7ArraySize|BenchmarkFEASolve|BenchmarkStressCacheWarm' \
 	    -benchmem -benchtime=100x -count=1 .
 	$(GO) test -run '^$$' \
 	    -bench 'BenchmarkGridSolve/^nx(10|20|40|80)$$' \

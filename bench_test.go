@@ -195,6 +195,28 @@ func arrayChar(b *testing.B, a *core.Analyzer, pattern cudd.Pattern, n int, crit
 	return c
 }
 
+// BenchmarkViaArrayCharacterize measures one step-1 Monte Carlo — 500
+// run-to-completion trials and the lognormal fit — on fixed 4×4 and 8×8
+// corner-fed configurations, with no FEA. Each worker's array reuses its
+// network scratch across trials, so allocs/op counts the engine's per-trial
+// event lists and the result rather than the network solves.
+func BenchmarkViaArrayCharacterize(b *testing.B) {
+	for _, n := range []int{4, 8} {
+		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
+			cfg := ablationConfig(n, n*n/2)
+			b.ReportAllocs()
+			var res *viaarray.CharResult
+			for i := 0; i < b.N; i++ {
+				var err error
+				if res, err = viaarray.Characterize(cfg, 500, 2017); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(phys.SecondsToYears(res.Model.Dist.Median()), "years-median")
+		})
+	}
+}
+
 // BenchmarkFig8aViaArrayCDF regenerates Figure 8(a): per-criterion CDFs of a
 // 4×4 Plus array.
 func BenchmarkFig8aViaArrayCDF(b *testing.B) {

@@ -57,12 +57,13 @@ type Analyzer struct {
 	mu    sync.Mutex
 	cache map[stressKey][][]float64
 
-	// charCache memoizes whole via-array characterizations the same way the
-	// FEA cache memoizes stress solves: for a fixed seed the step-1 Monte
-	// Carlo is a pure function of its inputs, and grid experiments routinely
-	// re-request the same pattern/criterion/trials combination.
+	// charCache memoizes the step-1 Monte Carlo the same way the FEA cache
+	// memoizes stress solves: for a fixed seed the run is a pure function of
+	// its inputs. The key carries no failure criterion. A run to completion
+	// fails every via of every trial, so one run serves every criterion and
+	// each request derives its own view (viaarray.CharResult.ForFailK).
 	charMu    sync.Mutex
-	charCache map[charKey]*ViaArrayCharacterization
+	charCache map[charKey]*viaarray.CharResult
 }
 
 type stressKey struct {
@@ -79,7 +80,6 @@ type charKey struct {
 	width   float64
 	j       float64
 	pkg     float64 // PackageStress feeds the sampled σ_T, so it keys too
-	crit    ArrayCriterion
 	trials  int
 	seed    int64
 }
@@ -237,7 +237,10 @@ func (c ArrayCriterion) failK(n int) int {
 	return viaarray.FailKForResistanceFactor(n, c.ResistanceFactor)
 }
 
-// ViaArrayCharacterization is the §5.1 output for one pattern.
+// ViaArrayCharacterization is the §5.1 output for one pattern under one
+// criterion. Result is a view of the analyzer's memoized run: its Events
+// and EventComps are shared read-only with the characterizations of the
+// other criteria.
 type ViaArrayCharacterization struct {
 	Pattern cudd.Pattern
 	Result  *viaarray.CharResult
@@ -253,13 +256,15 @@ func (a *Analyzer) CharacterizeViaArray(pattern cudd.Pattern, arrayN int, width,
 
 // CharacterizeViaArrayPair is CharacterizeViaArray for an explicit metal
 // layer pair (multi-layer grids characterize all three pair classes).
-// Results are memoized per analyzer: like the FEA cache, this assumes the
-// technology parameters (Base, EM, FEA) are fixed once characterization
-// starts. Callers must treat the returned characterization as read-only.
+// Results are memoized per analyzer, one Monte-Carlo run for every
+// criterion: like the FEA cache, this assumes the technology parameters
+// (Base, EM, FEA) are fixed once characterization starts. Callers must treat
+// the returned characterization as read-only.
 func (a *Analyzer) CharacterizeViaArrayPair(pattern cudd.Pattern, pair cudd.LayerPair, arrayN int, width, j float64, crit ArrayCriterion, trials int, seed int64) (*ViaArrayCharacterization, error) {
-	ck := charKey{pattern, pair, arrayN, width, j, a.PackageStress, crit, trials, seed}
+	key := charKey{pattern, pair, arrayN, width, j, a.PackageStress, trials, seed}
+	k := crit.failK(arrayN)
 	a.charMu.Lock()
-	cached, ok := a.charCache[ck]
+	run, ok := a.charCache[key]
 	a.charMu.Unlock()
 	if r := telemetry.Default(); r != nil {
 		if ok {
@@ -268,35 +273,40 @@ func (a *Analyzer) CharacterizeViaArrayPair(pattern cudd.Pattern, pair cudd.Laye
 			r.Counter(telemetry.CharMisses).Inc()
 		}
 	}
-	if ok {
-		return cached, nil
+	if !ok {
+		// The first request runs the Monte Carlo under its own criterion, so
+		// a lone request traces its criterion's failure events as it always
+		// did; the run itself is the same for every criterion.
+		sigma, err := a.StressFor(pattern, pair, arrayN, width)
+		if err != nil {
+			return nil, err
+		}
+		p := a.Base
+		p.Pattern = pattern
+		p.LayerPair = pair
+		p.ArrayN = arrayN
+		p.WireWidth = width
+		cfg, err := viaarray.FromStructure(p, sigma, a.EM, j, k, 0)
+		if err != nil {
+			return nil, err
+		}
+		run, err = viaarray.CharacterizeNamed(cfg, trials, seed,
+			fmt.Sprintf("array:%s:%dx%d", pattern, arrayN, arrayN))
+		if err != nil {
+			return nil, err
+		}
+		a.charMu.Lock()
+		if a.charCache == nil {
+			a.charCache = make(map[charKey]*viaarray.CharResult)
+		}
+		a.charCache[key] = run
+		a.charMu.Unlock()
 	}
-	sigma, err := a.StressFor(pattern, pair, arrayN, width)
+	res, err := run.ForFailK(k)
 	if err != nil {
 		return nil, err
 	}
-	p := a.Base
-	p.Pattern = pattern
-	p.LayerPair = pair
-	p.ArrayN = arrayN
-	p.WireWidth = width
-	cfg, err := viaarray.FromStructure(p, sigma, a.EM, j, crit.failK(arrayN), 0)
-	if err != nil {
-		return nil, err
-	}
-	res, err := viaarray.CharacterizeNamed(cfg, trials, seed,
-		fmt.Sprintf("array:%s:%dx%d", pattern, arrayN, arrayN))
-	if err != nil {
-		return nil, err
-	}
-	out := &ViaArrayCharacterization{Pattern: pattern, Result: res, Model: res.Model}
-	a.charMu.Lock()
-	if a.charCache == nil {
-		a.charCache = make(map[charKey]*ViaArrayCharacterization)
-	}
-	a.charCache[ck] = out
-	a.charMu.Unlock()
-	return out, nil
+	return &ViaArrayCharacterization{Pattern: pattern, Result: res, Model: res.Model}, nil
 }
 
 // ViaArrayModels characterizes all three intersection patterns and returns

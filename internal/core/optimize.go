@@ -82,9 +82,11 @@ func (a *Analyzer) OptimizeArray(spec OptimizeArraySpec) (choices []ArrayChoice,
 			choices = append(choices, ArrayChoice{ArrayN: n, Reason: verr.Error()})
 			continue
 		}
-		// Use a spacing-aware analyzer clone so the stress cache keys do not
-		// collide with the default-geometry entries.
-		sub := &Analyzer{Base: base, EM: a.EM, FEA: a.FEA, PackageStress: a.PackageStress}
+		// Use a spacing-aware analyzer clone so the in-memory stress cache
+		// keys do not collide with the default-geometry entries. The
+		// persistent cache is shared: its key hashes the full cudd.Params,
+		// ViaSpacing included.
+		sub := &Analyzer{Base: base, EM: a.EM, FEA: a.FEA, PackageStress: a.PackageStress, Disk: a.Disk}
 		c, cerr := sub.CharacterizeViaArray(spec.Pattern, n, spec.WireWidth, spec.J, spec.Criterion, spec.Trials, spec.Seed+int64(i))
 		if cerr != nil {
 			return nil, -1, fmt.Errorf("core: optimizing n=%d: %w", n, cerr)

@@ -30,6 +30,17 @@ func NewDenseCholesky(a []float64, n int) (*DenseCholesky, error) {
 	return &DenseCholesky{n: n, l: l}, nil
 }
 
+// Refactor refactors in place from the row-major matrix a, which must have
+// the dimension the factor was built with. It performs no allocation and
+// produces the same bits as NewDenseCholesky(a, n).
+func (c *DenseCholesky) Refactor(a []float64) error {
+	if len(a) != len(c.l) {
+		return fmt.Errorf("solver: Refactor matrix has %d entries, want %d", len(a), len(c.l))
+	}
+	copy(c.l, a)
+	return factorLowerInPlace(c.l, c.n)
+}
+
 // factorLowerInPlace overwrites the lower triangle of the row-major matrix in
 // l with its Cholesky factor. Entries above the diagonal are ignored.
 func factorLowerInPlace(l []float64, n int) error {

@@ -68,6 +68,45 @@ func TestDenseCholeskyFromCSRMatchesDense(t *testing.T) {
 	}
 }
 
+// TestDenseCholeskyRefactorZeroAllocBitIdentical checks that refactoring a
+// factor in place allocates nothing and leaves exactly the bits a freshly
+// built factor of the new matrix holds, including after a failed refactor.
+func TestDenseCholeskyRefactorZeroAllocBitIdentical(t *testing.T) {
+	const n = 15
+	rng := rand.New(rand.NewSource(29))
+	_, first := randomSPD(rng, n)
+	_, second := randomSPD(rng, n)
+	ch, err := NewDenseCholesky(first, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	indefinite := make([]float64, n*n)
+	indefinite[0] = -1
+	if err := ch.Refactor(indefinite); err == nil {
+		t.Fatal("Refactor accepted an indefinite matrix")
+	}
+	if err := ch.Refactor(make([]float64, 4)); err == nil {
+		t.Error("Refactor accepted a matrix of the wrong dimension")
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := ch.Refactor(second); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Refactor allocates %.1f objects per call, want 0", allocs)
+	}
+	fresh, err := NewDenseCholesky(second, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range fresh.l {
+		if math.Float64bits(ch.l[i]) != math.Float64bits(fresh.l[i]) {
+			t.Fatalf("factor entry %d: refactored %v, fresh %v", i, ch.l[i], fresh.l[i])
+		}
+	}
+}
+
 // TestCGWorkspaceMatchesAndZeroAlloc checks that CG with a caller-provided
 // workspace returns the same solution as the allocating path, and allocates
 // nothing once the workspace is warm.

@@ -44,12 +44,16 @@ func (m TTFModel) Sample(rng *rand.Rand, current float64) float64 {
 	return m.Dist.Sample(rng) * s
 }
 
-// CharResult is a via-array reliability characterization.
+// CharResult is a via-array reliability characterization. The run goes to
+// completion, so one CharResult carries every n_F criterion; ForFailK
+// derives the view of another criterion from it.
 type CharResult struct {
 	// Config echoes the characterized configuration.
 	Config Config
 	// MC holds the raw Monte-Carlo outcome (run to completion, so the
-	// failure times of every n_F criterion are available).
+	// failure times of every n_F criterion are available). Its Events and
+	// EventComps may be shared read-only with the views ForFailK derives;
+	// its TTF is this result's own, under Config.FailK.
 	MC *mc.Result
 	// Samples are the finite system TTFs (seconds) under Config.FailK.
 	Samples []float64
@@ -86,19 +90,24 @@ func CharacterizeNamed(cfg Config, trials int, seed int64, traceLabel string) (*
 	if len(samples) < 2 {
 		return nil, fmt.Errorf("viaarray: only %d finite TTF samples; array never reaches criterion n_F=%d", len(samples), cfg.FailK)
 	}
+	model, err := fitModel(cfg, samples)
+	if err != nil {
+		return nil, err
+	}
+	return &CharResult{Config: cfg, MC: res, Samples: samples, Model: model}, nil
+}
+
+// fitModel fits the lognormal TTF model of samples under cfg.FailK at the
+// configuration's reference current.
+func fitModel(cfg Config, samples []float64) (TTFModel, error) {
 	fit, err := stat.FitLogNormal(samples)
 	if err != nil {
-		return nil, fmt.Errorf("viaarray: fitting TTF lognormal: %w", err)
+		return TTFModel{}, fmt.Errorf("viaarray: fitting TTF lognormal: %w", err)
 	}
-	return &CharResult{
-		Config:  cfg,
-		MC:      res,
-		Samples: samples,
-		Model: TTFModel{
-			Dist:       fit,
-			RefCurrent: cfg.CurrentDensity * cfg.ViaArea,
-			FailK:      cfg.FailK,
-		},
+	return TTFModel{
+		Dist:       fit,
+		RefCurrent: cfg.CurrentDensity * cfg.ViaArea,
+		FailK:      cfg.FailK,
 	}, nil
 }
 
@@ -115,13 +124,41 @@ func (c *CharResult) CriterionModel(nF int) (TTFModel, error) {
 	if len(samples) < 2 {
 		return TTFModel{}, fmt.Errorf("viaarray: criterion n_F=%d has %d samples", nF, len(samples))
 	}
-	fit, err := stat.FitLogNormal(samples)
-	if err != nil {
-		return TTFModel{}, err
+	cfg := c.Config
+	cfg.FailK = nF
+	return fitModel(cfg, samples)
+}
+
+// ForFailK returns the characterization under criterion n_F = k, derived from
+// this run-to-completion result without re-running the Monte Carlo. Because
+// the criterion only decides when a trial records its system TTF, never
+// which via fails next, the view is bit for bit what Characterize would
+// return for the same configuration with FailK = k: its samples are the k-th
+// failure times, its MC.TTF[t] is Events[t][k−1] (+Inf when trial t saw
+// fewer than k failures). The view shares Events and EventComps read-only
+// with c. It returns c itself when k is already its criterion.
+func (c *CharResult) ForFailK(k int) (*CharResult, error) {
+	if k == c.Config.FailK {
+		return c, nil
 	}
-	return TTFModel{
-		Dist:       fit,
-		RefCurrent: c.Config.CurrentDensity * c.Config.ViaArea,
-		FailK:      nF,
-	}, nil
+	cfg := c.Config
+	cfg.FailK = k
+	samples := c.CriterionSamples(k)
+	if len(samples) < 2 {
+		return nil, fmt.Errorf("viaarray: only %d finite TTF samples; array never reaches criterion n_F=%d", len(samples), k)
+	}
+	model, err := fitModel(cfg, samples)
+	if err != nil {
+		return nil, err
+	}
+	ttf := make([]float64, len(c.MC.Events))
+	for t, ev := range c.MC.Events {
+		ttf[t] = math.Inf(1)
+		if k <= len(ev) {
+			ttf[t] = ev[k-1]
+		}
+	}
+	res := *c.MC
+	res.TTF = ttf
+	return &CharResult{Config: cfg, MC: &res, Samples: samples, Model: model}, nil
 }

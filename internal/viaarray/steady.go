@@ -60,14 +60,13 @@ func (cfg Config) SteadyScreen(critQuantile float64) (*ArrayScreen, error) {
 	}
 	n := cfg.N
 	n2 := n * n
-	a.alive = make([]bool, n2)
-	for i := range a.alive {
-		a.alive[i] = true
-	}
+	// The voltages are the array's solve scratch; the steady graph keeps
+	// its own copy.
 	v, err := a.solveNetwork(a.totalCurrent)
 	if err != nil {
 		return nil, err
 	}
+	v = append([]float64(nil), v...)
 	// Two chains, vias excluded: bottom columns 0..n−1, top rows n..2n−1.
 	// No blocked nodes — the modeled metal ends at the feed and extraction
 	// terminals, so each chain conserves its own atoms.

@@ -166,7 +166,12 @@ func FailKForResistanceFactor(n int, factor float64) int {
 	return total
 }
 
-// Array is the mc.System implementation for one via array.
+// Array is the mc.System implementation for one via array. It owns the
+// scratch of its trial loop — liveness, currents, sampled TTFs, the stamped
+// network matrix, its right-hand side, the node voltages and the dense
+// factor — and reuses it across trials, so BeginTrial and Fail allocate
+// nothing once the factor exists. An Array is therefore not safe for
+// concurrent use; mc.RunParallel builds one per worker through its factory.
 type Array struct {
 	cfg Config
 
@@ -176,6 +181,9 @@ type Array struct {
 	baseTTF      []float64
 	j0, jNow     []float64
 	failedCount  int
+
+	g, rhs, v []float64             // nodal matrix (ground eliminated), RHS, voltages
+	ch        *solver.DenseCholesky // built on the first solve, refactored in place after
 }
 
 // New builds the system. The configuration is validated once here.
@@ -183,14 +191,27 @@ func New(cfg Config) (*Array, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	n := cfg.N
+	n2 := n * n
+	dim := 2*n - 1 // network nodes with the ground eliminated
 	a := &Array{
 		cfg:          cfg,
 		totalCurrent: cfg.CurrentDensity * cfg.ViaArea,
+		sigmaFlat:    make([]float64, 0, n2),
+		alive:        make([]bool, n2),
+		baseTTF:      make([]float64, n2),
+		j0:           make([]float64, n2),
+		jNow:         make([]float64, n2),
+		g:            make([]float64, dim*dim),
+		rhs:          make([]float64, dim),
+		v:            make([]float64, dim+1),
 	}
-	n := cfg.N
-	a.sigmaFlat = make([]float64, 0, n*n)
 	for _, row := range cfg.SigmaT {
 		a.sigmaFlat = append(a.sigmaFlat, row...)
+	}
+	// Pristine until the first trial, so Resistance works before one.
+	for i := range a.alive {
+		a.alive[i] = true
 	}
 	return a, nil
 }
@@ -210,20 +231,15 @@ func (a *Array) ComponentLabel(i int) string {
 // BeginTrial resets the network and samples fresh via TTFs at the trial-
 // start currents.
 func (a *Array) BeginTrial(rng *rand.Rand) error {
-	n2 := a.NumComponents()
-	a.alive = make([]bool, n2)
 	for i := range a.alive {
 		a.alive[i] = true
 	}
 	a.failedCount = 0
-	j, err := a.solveCurrents()
-	if err != nil {
+	if err := a.solveCurrents(a.j0); err != nil {
 		return err
 	}
-	a.j0 = j
-	a.jNow = append([]float64(nil), j...)
-	a.baseTTF = make([]float64, n2)
-	for i := 0; i < n2; i++ {
+	copy(a.jNow, a.j0)
+	for i := range a.baseTTF {
 		a.baseTTF[i] = a.cfg.EM.SampleTTF(rng, a.sigmaFlat[i], a.j0[i])
 	}
 	return nil
@@ -258,12 +274,7 @@ func (a *Array) Fail(i int) error {
 		}
 		return nil
 	}
-	j, err := a.solveCurrents()
-	if err != nil {
-		return err
-	}
-	a.jNow = j
-	return nil
+	return a.solveCurrents(a.jNow)
 }
 
 // Failed reports whether FailK vias have failed.
@@ -274,11 +285,14 @@ func (a *Array) Failed() (bool, error) {
 // FailedCount returns the number of failed vias in the current trial state.
 func (a *Array) FailedCount() int { return a.failedCount }
 
-// solveCurrents computes the per-via current density (A/m²) of the current
-// network state.
-func (a *Array) solveCurrents() ([]float64, error) {
+// solveCurrents writes the per-via current density (A/m²) of the current
+// network state into out (length n²); failed vias get 0.
+func (a *Array) solveCurrents(out []float64) error {
 	n := a.cfg.N
 	n2 := n * n
+	for i := range out {
+		out[i] = 0
+	}
 	aliveCount := 0
 	for _, al := range a.alive {
 		if al {
@@ -286,10 +300,9 @@ func (a *Array) solveCurrents() ([]float64, error) {
 		}
 	}
 	if aliveCount == 0 {
-		return make([]float64, n2), nil
+		return nil
 	}
 	aVia := a.cfg.ViaArea / float64(n2)
-	out := make([]float64, n2)
 
 	if a.cfg.Feed == UniformFeed {
 		per := a.totalCurrent / float64(aliveCount)
@@ -298,12 +311,12 @@ func (a *Array) solveCurrents() ([]float64, error) {
 				out[i] = per / aVia
 			}
 		}
-		return out, nil
+		return nil
 	}
 
 	v, err := a.solveNetwork(a.totalCurrent)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	gVia := 1 / a.cfg.RVia
 	for row := 0; row < n; row++ {
@@ -316,13 +329,14 @@ func (a *Array) solveCurrents() ([]float64, error) {
 			out[k] = math.Abs(i) / aVia
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // solveNetwork solves the nodal system for an injected current at the feed
 // terminal and returns the node voltages (bottom columns 0..n−1, top rows
 // n..2n−1; the extraction terminal, the last top row, is ground with
-// voltage 0).
+// voltage 0). The returned slice is the array's scratch: it is valid until
+// the next solve.
 func (a *Array) solveNetwork(injected float64) ([]float64, error) {
 	n := a.cfg.N
 	nn := 2 * n
@@ -334,7 +348,10 @@ func (a *Array) solveNetwork(injected float64) ([]float64, error) {
 		}
 		return node
 	}
-	g := make([]float64, dim*dim)
+	g := a.g
+	for i := range g {
+		g[i] = 0
+	}
 	stamp := func(p, q int, cond float64) {
 		ip, iq := idx(p), idx(q)
 		if ip >= 0 {
@@ -374,35 +391,34 @@ func (a *Array) solveNetwork(injected float64) ([]float64, error) {
 	for i := 0; i < dim; i++ {
 		g[i*dim+i] += 1e-9 * gVia
 	}
-	rhs := make([]float64, dim)
-	rhs[0] = injected
+	for i := range a.rhs {
+		a.rhs[i] = 0
+	}
+	a.rhs[0] = injected
 
-	ch, err := solver.NewDenseCholesky(g, dim)
+	var err error
+	if a.ch == nil {
+		a.ch, err = solver.NewDenseCholesky(g, dim)
+	} else {
+		err = a.ch.Refactor(g)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("viaarray: network factorization: %w", err)
 	}
-	sol, err := ch.Solve(rhs)
-	if err != nil {
+	if err := a.ch.SolveInto(a.v[:dim], a.rhs); err != nil {
 		return nil, fmt.Errorf("viaarray: network solve: %w", err)
 	}
-	v := make([]float64, nn)
-	copy(v, sol)
-	v[ground] = 0
-	return v, nil
+	a.v[ground] = 0
+	return a.v, nil
 }
 
 // Resistance returns the equivalent resistance (Ω) between the feed
-// terminals in the current trial state; +Inf when every via has failed.
+// terminals in the current state — pristine before the first trial, else
+// the state the last BeginTrial and Fail calls left; +Inf when every via
+// has failed.
 func (a *Array) Resistance() (float64, error) {
 	if a.failedCount >= a.NumComponents() {
 		return math.Inf(1), nil
-	}
-	if a.alive == nil {
-		// Pristine array outside a trial: all vias alive.
-		a.alive = make([]bool, a.NumComponents())
-		for i := range a.alive {
-			a.alive[i] = true
-		}
 	}
 	return a.feedVoltage()
 }

@@ -583,3 +583,121 @@ func TestResistanceMonotoneUnderFailures(t *testing.T) {
 		prev = r
 	}
 }
+
+// TestArrayTrialZeroAlloc checks that a warm Array runs a whole trial —
+// BeginTrial and a Fail per via — without allocating, that its reused
+// scratch leaves no trace from one trial in the next, and that Resistance
+// works before, after and between trials on the same Array.
+func TestArrayTrialZeroAlloc(t *testing.T) {
+	cfg := testConfig(8, 64)
+	cfg.SigmaT = gradedSigma(8, 260e6, 200e6)
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nominal, err := cfg.NominalResistance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, err := a.Resistance(); err != nil || r != nominal {
+		t.Fatalf("Resistance before any trial = %v, %v; want %v", r, err, nominal)
+	}
+	rng := rand.New(rand.NewSource(17))
+	trial := func() {
+		if err := a.BeginTrial(rng); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 64; i++ {
+			if err := a.Fail(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	trial() // warm-up
+	if r, err := a.Resistance(); err != nil || !math.IsInf(r, 1) {
+		t.Fatalf("Resistance after a full trial = %v, %v; want +Inf", r, err)
+	}
+	if allocs := testing.AllocsPerRun(5, trial); allocs != 0 {
+		t.Errorf("BeginTrial + 64 Fail allocates %.1f objects per trial, want 0", allocs)
+	}
+
+	// A reused Array must follow a fresh one bit for bit.
+	fresh, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.BeginTrial(rand.New(rand.NewSource(99))); err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.BeginTrial(rand.New(rand.NewSource(99))); err != nil {
+		t.Fatal(err)
+	}
+	if r, err := a.Resistance(); err != nil || r != nominal {
+		t.Errorf("Resistance at trial start = %v, %v; want %v", r, err, nominal)
+	}
+	for _, k := range []int{9, 0, 63, 27, 36} {
+		if err := a.Fail(k); err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.Fail(k); err != nil {
+			t.Fatal(err)
+		}
+		for i := range a.jNow {
+			if math.Float64bits(a.jNow[i]) != math.Float64bits(fresh.jNow[i]) ||
+				math.Float64bits(a.baseTTF[i]) != math.Float64bits(fresh.baseTTF[i]) {
+				t.Fatalf("after failing via %d: via %d diverges from a fresh array", k, i)
+			}
+		}
+	}
+	rMid, err := a.Resistance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rFresh, _ := fresh.Resistance(); rMid != rFresh || rMid <= nominal {
+		t.Errorf("Resistance mid-trial = %v, fresh array %v, nominal %v", rMid, rFresh, nominal)
+	}
+}
+
+// TestForFailKMatchesCharacterize checks that a criterion view derived from
+// one run-to-completion characterization equals, bit for bit, a separate
+// characterization under that criterion.
+func TestForFailKMatchesCharacterize(t *testing.T) {
+	cfg := testConfig(3, 1)
+	cfg.SigmaT = gradedSigma(3, 260e6, 200e6)
+	base, err := Characterize(cfg, 120, 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{1, 2, 5, 9} {
+		view, err := base.ForFailK(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := cfg
+		c.FailK = k
+		want, err := Characterize(c, 120, 23)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if view.Config.FailK != k || view.Model != want.Model {
+			t.Errorf("k=%d: view model %+v, want %+v", k, view.Model, want.Model)
+		}
+		if len(view.Samples) != len(want.Samples) || len(view.MC.TTF) != len(want.MC.TTF) {
+			t.Fatalf("k=%d: %d samples / %d trials, want %d / %d", k,
+				len(view.Samples), len(view.MC.TTF), len(want.Samples), len(want.MC.TTF))
+		}
+		for i := range want.Samples {
+			if math.Float64bits(view.Samples[i]) != math.Float64bits(want.Samples[i]) {
+				t.Fatalf("k=%d: sample %d = %v, want %v", k, i, view.Samples[i], want.Samples[i])
+			}
+		}
+		for i := range want.MC.TTF {
+			if math.Float64bits(view.MC.TTF[i]) != math.Float64bits(want.MC.TTF[i]) {
+				t.Fatalf("k=%d: trial %d TTF = %v, want %v", k, i, view.MC.TTF[i], want.MC.TTF[i])
+			}
+		}
+	}
+	if _, err := base.ForFailK(10); err == nil {
+		t.Error("ForFailK accepted n_F beyond the array size")
+	}
+}

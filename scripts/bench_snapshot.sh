@@ -6,7 +6,8 @@
 #
 # The snapshot protocol is fixed so numbers recorded across commits — e.g.
 # the baseline/current sections of BENCH_1.json and BENCH_2.json — are
-# comparable: the grid benchmarks run at -benchtime=100x (their op is sub-ms),
+# comparable: the grid benchmarks and the via-array characterization run at
+# -benchtime=100x (their op is sub-ms to tens of ms),
 # the large GridSolve tiers (nx200/nx400, ~20–80 ms/op) at -benchtime=10x,
 # and the FEA benchmarks at -benchtime=10x (their op is ~0.1–1 s), all with
 # -count=1 -benchmem. Parsing keys on the unit tokens, not field positions,
@@ -17,7 +18,7 @@ cd "$(dirname "$0")/.."
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
-grid_benches='BenchmarkFig10GridCDF|BenchmarkTable2GridTTF|BenchmarkSparseCholeskyFactor'
+grid_benches='BenchmarkFig10GridCDF|BenchmarkTable2GridTTF|BenchmarkSparseCholeskyFactor|BenchmarkViaArrayCharacterize'
 grid_small='BenchmarkGridSolve/^nx(10|20|40|80)$'
 grid_large='BenchmarkGridSolve/^nx(200|400)$|BenchmarkGridMCScreened|BenchmarkGridMCSharded'
 fea_benches='BenchmarkFig1StressProfile|BenchmarkFig6Patterns|BenchmarkFig7ArraySize|BenchmarkFEASolve|BenchmarkStressCacheWarm'
